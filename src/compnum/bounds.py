@@ -14,10 +14,18 @@ Three bounds are computed, all exact integer quantities:
                        closed-neighborhood subgraph of U needed to cover all
                        edges incident to U.
 
+cover(U) is computed as the fewest maximal cliques of the whole graph that
+cover the edges incident to U, which is the same number: a clique covering an
+edge at u in U lies inside N[u], hence inside N[U], so it is a clique of that
+subgraph, and every clique of the subgraph is one of the graph (enlarging
+cliques to maximal ones uncovers nothing).  One clique enumeration per graph
+thus serves every subset.
+
 The m = 1 term of the general bound equals opsut_vertex_bound, and for
 n >= 2 the m = n-1 term equals opsut_edge_bound, so the general bound
 dominates both; the test suite checks these identities exhaustively on
-small-graph corpora.
+small-graph corpora.  The two classical bounds are computed on their own, not
+read off the terms, so that those identities stay real checks.
 
 Bounds are reported unclamped and can be negative (for complete graphs the
 m-th term is 2 - m).  Callers compare against competition numbers with
@@ -28,9 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Callable
 
-from .covers import restricted_edge_cover_number, vertex_clique_cover_number, edge_clique_cover_number
+from .covers import _clique_edge_masks, _holders, _min_cover, maximal_cliques
+from .covers import edge_clique_cover_number, vertex_clique_cover_number
 from .graphs import Graph
 
 
@@ -89,12 +98,39 @@ def opsut_vertex_bound(g: Graph) -> int:
     return best
 
 
-def _subset_term(g: Graph, subset: Iterable[int]) -> int:
-    subset = frozenset(subset)
-    region = g.closed_neighborhood(subset)
-    sub, relabel = g.induced_subgraph(region)
-    target = [(relabel[u], relabel[v]) for u, v in g.incident_edges(subset)]
-    return restricted_edge_cover_number(sub, target) - len(subset) + 1
+def _subset_cover(g: Graph) -> Callable[[tuple[int, ...]], int]:
+    """cover(U) for vertex subsets U of g, all on one set of clique masks."""
+    edges = g.edges()
+    cands = _clique_edge_masks(g, maximal_cliques(g))
+    holders = _holders(cands, len(edges))
+    incident = [0] * g.n
+    for i, (u, v) in enumerate(edges):
+        incident[u] |= 1 << i
+        incident[v] |= 1 << i
+
+    def cover(subset: tuple[int, ...]) -> int:
+        target = 0
+        for u in subset:
+            target |= incident[u]
+        return _min_cover(target, cands, holders)[0]
+
+    return cover
+
+
+def _scan(g: Graph, m: int, cover: Callable, floor: int | None = None) -> tuple[BoundTerm, bool]:
+    """The m-th term with its lexicographically first minimizing subset.
+
+    With ``floor`` set, the scan stops as soon as the running minimum drops to
+    it; the second value says whether it stopped early.
+    """
+    best = argmin = None
+    for subset in combinations(range(g.n), m):
+        value = cover(subset) - m + 1
+        if best is None or value < best:
+            best, argmin = value, subset
+            if floor is not None and best <= floor:
+                return BoundTerm(m, best, argmin), True
+    return BoundTerm(m, best, argmin), False
 
 
 def general_bound_term(g: Graph, m: int) -> BoundTerm:
@@ -102,13 +138,7 @@ def general_bound_term(g: Graph, m: int) -> BoundTerm:
     _require_vertices(g)
     if not 1 <= m <= g.n:
         raise ValueError(f"m must be in 1..{g.n}, got {m}")
-    best = None
-    best_subset = None
-    for subset in combinations(range(g.n), m):
-        value = _subset_term(g, subset)
-        if best is None or value < best:
-            best, best_subset = value, subset
-    return BoundTerm(m, best, best_subset)
+    return _scan(g, m, _subset_cover(g))[0]
 
 
 def general_bound(g: Graph, prune: bool = False) -> BoundReport:
@@ -120,25 +150,17 @@ def general_bound(g: Graph, prune: bool = False) -> BoundReport:
     either way, and identical between pruned and unpruned runs.
     """
     _require_vertices(g)
+    cover = _subset_cover(g)
     terms: list[BoundTerm] = []
     truncated: set[int] = set()
     best: int | None = None
     for m in range(1, g.n + 1):
-        running: int | None = None
-        argmin: tuple[int, ...] | None = None
-        cut = False
-        for subset in combinations(range(g.n), m):
-            value = _subset_term(g, subset)
-            if running is None or value < running:
-                running, argmin = value, subset
-            if prune and best is not None and running <= best:
-                cut = True
-                break
-        terms.append(BoundTerm(m, running, argmin))
+        term, cut = _scan(g, m, cover, best if prune else None)
+        terms.append(term)
         if cut:
             truncated.add(m)
         else:
-            best = running if best is None else max(best, running)
+            best = term.value if best is None else max(best, term.value)
     return BoundReport(
         n=g.n,
         opsut_edge=opsut_edge_bound(g),

@@ -17,7 +17,6 @@ import sys
 import time
 
 from .bounds import general_bound, general_bound_term, opsut_edge_bound, opsut_vertex_bound
-from .covers import edge_clique_cover_number
 from .graphs import (
     GENERATOR_FAMILIES,
     GraphParseError,
@@ -62,45 +61,54 @@ def _clamped(value: int) -> int:
 def cmd_bound(args, parser) -> int:
     if args.m is not None and args.method != "general":
         parser.error("--m is only valid with --method general")
-    lines = _graph_inputs(args, parser)
-    for text in lines:
-        g = parse_graph6(text)
-        if args.method == "opsut-e":
-            value = opsut_edge_bound(g)
-            _emit_single_bound(text, "opsut-e", value, args.json)
-        elif args.method == "opsut-v":
-            value = opsut_vertex_bound(g)
-            _emit_single_bound(text, "opsut-v", value, args.json)
-        elif args.m is not None:
-            if not 1 <= args.m <= g.n:
-                parser.error(f"--m must be in 1..{g.n} for this graph")
-            term = general_bound_term(g, args.m)
-            _emit_single_bound(text, f"general[m={args.m}]", term.value, args.json)
+    skipped = 0
+    for text in _graph_inputs(args, parser):
+        try:
+            _bound_one(args, parser, text)
+        except ValueError as err:
+            if not args.stdin:
+                raise
+            # one bad line in a batch is reported and skipped, like survey does
+            print(f"bound: skipped {text!r}: {err}", file=sys.stderr)
+            skipped += 1
+    return EXIT_PARSE if skipped else EXIT_OK
+
+
+def _bound_one(args, parser, text: str) -> None:
+    g = parse_graph6(text)
+    if args.method == "opsut-e":
+        _emit_single_bound(text, "opsut-e", opsut_edge_bound(g), args.json)
+    elif args.method == "opsut-v":
+        _emit_single_bound(text, "opsut-v", opsut_vertex_bound(g), args.json)
+    elif args.m is not None:
+        if not 1 <= args.m <= g.n:
+            parser.error(f"--m must be in 1..{g.n} for this graph")
+        term = general_bound_term(g, args.m)
+        _emit_single_bound(text, f"general[m={args.m}]", term.value, args.json)
+    else:
+        report = general_bound(g)
+        if args.json:
+            payload = {
+                "graph6": text,
+                "method": "general",
+                "general_raw": report.general,
+                "general": _clamped(report.general),
+                "opsut_e_raw": report.opsut_edge,
+                "opsut_e": _clamped(report.opsut_edge),
+                "opsut_v_raw": report.opsut_vertex,
+                "opsut_v": _clamped(report.opsut_vertex),
+                "terms": [
+                    {"m": t.m, "value": t.value, "subset": list(t.subset)}
+                    for t in report.terms
+                ],
+                "truncated_ms": sorted(report.truncated_ms),
+            }
+            print(json.dumps(payload))
         else:
-            report = general_bound(g)
-            if args.json:
-                payload = {
-                    "graph6": text,
-                    "method": "general",
-                    "general_raw": report.general,
-                    "general": _clamped(report.general),
-                    "opsut_e_raw": report.opsut_edge,
-                    "opsut_e": _clamped(report.opsut_edge),
-                    "opsut_v_raw": report.opsut_vertex,
-                    "opsut_v": _clamped(report.opsut_vertex),
-                    "terms": [
-                        {"m": t.m, "value": t.value, "subset": list(t.subset)}
-                        for t in report.terms
-                    ],
-                    "truncated_ms": sorted(report.truncated_ms),
-                }
-                print(json.dumps(payload))
-            else:
-                print(f"general = {report.general}")
-                for t in report.terms:
-                    subset = ",".join(str(v) for v in t.subset)
-                    print(f"  m={t.m}: {t.value}  (U={{{subset}}})")
-    return EXIT_OK
+            print(f"general = {report.general}")
+            for t in report.terms:
+                subset = ",".join(str(v) for v in t.subset)
+                print(f"  m={t.m}: {t.value}  (U={{{subset}}})")
 
 
 def _emit_single_bound(graph6: str, method: str, value: int, as_json: bool) -> None:
@@ -170,7 +178,6 @@ def _survey_row(task: tuple[str, bool, int | None]) -> dict:
         g = parse_graph6(text)
     except GraphParseError as err:
         return {"graph6": text, "error": str(err)}
-    theta_e = edge_clique_cover_number(g)
     report = general_bound(g, prune=True) if g.n else None
     k_exact: str | int = ""
     if with_exact and g.n:
@@ -183,7 +190,7 @@ def _survey_row(task: tuple[str, bool, int | None]) -> dict:
         "graph6": text,
         "n": g.n,
         "edges": g.edge_count,
-        "theta_e": theta_e,
+        "theta_e": 0 if report is None else report.opsut_edge + g.n - 2,
         "opsut_e": "" if report is None else _clamped(report.opsut_edge),
         "opsut_v": "" if report is None else _clamped(report.opsut_vertex),
         "general": "" if report is None else _clamped(report.general),

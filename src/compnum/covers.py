@@ -10,7 +10,7 @@ alike.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .graphs import Graph
 
@@ -50,6 +50,14 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
 
 
 # -- exact set cover ---------------------------------------------------------
+#
+# One bitmask kernel carries every cover search in the package.  Element i of
+# the sorted universe is bit i (for edge covers, edge i of ``g.edges()``), a
+# candidate is the mask of its elements, and ``holders[b]`` is the mask of the
+# candidates holding bit b.  The search order is fixed so that answers and
+# witnesses are deterministic: the greedy start breaks ties on the lowest
+# index, and the search branches on the lowest uncovered bit among those with
+# the fewest holders, trying its holders in ascending order.
 
 
 class CoverInstance:
@@ -64,47 +72,111 @@ class CoverInstance:
         return f"CoverInstance(|universe|={len(self.universe)}, candidates={len(self.candidates)})"
 
 
-def _element_tables(universe, candidates):
-    covers = {}
-    masks = {}
-    for e in universe:
-        idxs = tuple(i for i, c in enumerate(candidates) if e in c)
-        if not idxs:
-            raise InfeasibleCoverError(e)
-        covers[e] = idxs
-        m = 0
-        for i in idxs:
-            m |= 1 << i
-        masks[e] = m
-    return covers, masks
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _packing_bound(uncovered, masks) -> int:
+def _holders(cands: Sequence[int], width: int) -> list[int]:
+    holders = [0] * width
+    for i, c in enumerate(cands):
+        for b in _bits(c):
+            holders[b] |= 1 << i
+    return holders
+
+
+def _packing_bound(uncovered: int, holders: Sequence[int]) -> int:
     # Count elements no single candidate can pair up: a lower bound on the
     # number of sets any cover must use.
-    used = 0
-    count = 0
-    for e in sorted(uncovered):
-        m = masks[e]
-        if not m & used:
+    used = count = 0
+    for b in _bits(uncovered):
+        if not holders[b] & used:
             count += 1
-            used |= m
+            used |= holders[b]
     return count
 
 
-def _greedy_cover(universe, candidates):
-    uncovered = set(universe)
-    chosen = []
+def _min_cover(
+    universe: int, cands: Sequence[int], holders: Sequence[int], cap: int | None = None
+) -> tuple[int, tuple[int, ...]] | None:
+    """Minimum cover of the bits of ``universe`` by branch and bound: (size,
+    sorted candidate indices), or None once every cover provably needs more
+    than ``cap`` sets.  Every bit of ``universe`` must have a holder."""
+    uncovered, greedy = universe, []
     while uncovered:
-        best_i = -1
-        best_gain = 0
-        for i, c in enumerate(candidates):
-            gain = len(c & uncovered)
-            if gain > best_gain:
-                best_gain, best_i = gain, i
-        chosen.append(best_i)
-        uncovered -= candidates[best_i]
-    return chosen
+        best = max(range(len(cands)), key=lambda i: (cands[i] & uncovered).bit_count())
+        greedy.append(best)
+        uncovered &= ~cands[best]
+    found = tuple(sorted(greedy)) if cap is None or len(greedy) <= cap else None
+    barrier = len(greedy) if cap is None else min(len(greedy), cap + 1)
+
+    def search(uncovered: int, chosen: list[int]) -> None:
+        nonlocal found, barrier
+        if not uncovered:
+            # the bound below lets only strictly smaller covers reach here
+            found, barrier = tuple(sorted(chosen)), len(chosen)
+            return
+        if len(chosen) + _packing_bound(uncovered, holders) >= barrier:
+            return
+        branch = min(_bits(uncovered), key=lambda b: holders[b].bit_count())
+        for i in _bits(holders[branch]):
+            chosen.append(i)
+            search(uncovered & ~cands[i], chosen)
+            chosen.pop()
+
+    search(universe, [])
+    return None if found is None else (len(found), found)
+
+
+def _certified_cover(
+    universe: int, cands: Sequence[int], holders: Sequence[int]
+) -> tuple[int, tuple[int, ...]]:
+    """Minimum cover size with the lexicographically smallest optimal index set."""
+    size, _ = _min_cover(universe, cands, holders)
+    suffix = [0] * (len(cands) + 1)
+    for i in range(len(cands) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | cands[i]
+
+    def walk(start: int, uncovered: int, chosen: tuple[int, ...]) -> tuple[int, ...] | None:
+        if not uncovered:
+            return chosen
+        if uncovered & ~suffix[start] or len(chosen) + _packing_bound(uncovered, holders) > size:
+            return None
+        for i in range(start, len(cands)):
+            # A set adding nothing new can never appear in a minimum cover.
+            if cands[i] & uncovered:
+                found = walk(i + 1, uncovered & ~cands[i], chosen + (i,))
+                if found is not None:
+                    return found
+        return None
+
+    return size, walk(0, universe, ())
+
+
+def _index(
+    universe: Iterable[Hashable], candidates: Iterable[Iterable[Hashable]]
+) -> tuple[int, list[int], list[int]]:
+    """Translate a cover instance onto the kernel: (universe mask, candidate
+    masks, holders), raising InfeasibleCoverError for an element no candidate
+    holds."""
+    elements = sorted(frozenset(universe))
+    bit = {e: 1 << i for i, e in enumerate(elements)}
+    cands = [sum(bit.get(e, 0) for e in frozenset(c)) for c in candidates]
+    holders = _holders(cands, len(elements))
+    for b, h in enumerate(holders):
+        if not h:
+            raise InfeasibleCoverError(elements[b])
+    return (1 << len(elements)) - 1, cands, holders
+
+
+def _clique_edge_masks(g: Graph, cliques: Iterable[Iterable[int]]) -> list[int]:
+    """Each clique as the mask of the edges it covers, edge i of g.edges()
+    being bit i."""
+    bit = {e: 1 << i for i, e in enumerate(g.edges())}
+    return [sum(bit[e] for e in combinations(sorted(c), 2)) for c in cliques]
 
 
 def min_cover(
@@ -120,38 +192,7 @@ def min_cover(
     provably needs more than ``cap`` sets.  Raises InfeasibleCoverError if
     some element is uncoverable.
     """
-    universe = frozenset(universe)
-    if not universe:
-        return 0, ()
-    covers, masks = _element_tables(universe, candidates)
-
-    best_sel: tuple[int, ...] | None = None
-    greedy = _greedy_cover(universe, candidates)
-    best_size = len(greedy)
-    if cap is None or best_size <= cap:
-        best_sel = tuple(sorted(greedy))
-    barrier = best_size if cap is None else min(best_size, cap + 1)
-
-    def search(uncovered: frozenset, chosen: list[int]) -> None:
-        nonlocal best_size, best_sel, barrier
-        if not uncovered:
-            if len(chosen) < barrier or best_sel is None:
-                best_size = len(chosen)
-                best_sel = tuple(sorted(chosen))
-                barrier = best_size
-            return
-        if len(chosen) + _packing_bound(uncovered, masks) >= barrier:
-            return
-        branch = min(uncovered, key=lambda e: (len(covers[e]), e))
-        for i in covers[branch]:
-            chosen.append(i)
-            search(uncovered - candidates[i], chosen)
-            chosen.pop()
-
-    search(universe, [])
-    if best_sel is None or (cap is not None and best_size > cap):
-        return None
-    return best_size, best_sel
+    return _min_cover(*_index(universe, candidates), cap)
 
 
 def min_set_cover(inst: CoverInstance) -> tuple[int, tuple[int, ...]]:
@@ -160,77 +201,32 @@ def min_set_cover(inst: CoverInstance) -> tuple[int, tuple[int, ...]]:
     The returned index set is the lexicographically smallest among all
     optimal subfamilies.
     """
-    found = min_cover(inst.universe, inst.candidates)
-    assert found is not None
-    size, _ = found
-    return size, _lex_min_cover(inst.universe, inst.candidates, size)
-
-
-def _lex_min_cover(universe, candidates, size):
-    if not universe:
-        return ()
-    _, masks = _element_tables(universe, candidates)
-    m = len(candidates)
-    suffix = [frozenset()] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | candidates[i]
-
-    result: tuple[int, ...] | None = None
-
-    def walk(start: int, uncovered: frozenset, chosen: list[int]) -> bool:
-        nonlocal result
-        if not uncovered:
-            result = tuple(chosen)
-            return True
-        if len(chosen) == size or not uncovered <= suffix[start]:
-            return False
-        if len(chosen) + _packing_bound(uncovered, masks) > size:
-            return False
-        for i in range(start, m):
-            # A set adding nothing new can never appear in a minimum cover.
-            if not candidates[i] & uncovered:
-                continue
-            chosen.append(i)
-            if walk(i + 1, uncovered - candidates[i], chosen):
-                return True
-            chosen.pop()
-        return False
-
-    walk(0, frozenset(universe), [])
-    assert result is not None
-    return result
+    return _certified_cover(*_index(inst.universe, inst.candidates))
 
 
 # -- clique cover numbers ------------------------------------------------------
 
 
-def _edge_candidates(g: Graph, cliques: Sequence[frozenset[int]]):
-    return tuple(
-        frozenset((u, v) for u, v in combinations(sorted(c), 2)) for c in cliques
-    )
+def _edge_cover_instance(g: Graph) -> tuple[int, list[int], list[int]]:
+    cands = _clique_edge_masks(g, maximal_cliques(g))
+    return (1 << g.edge_count) - 1, cands, _holders(cands, g.edge_count)
 
 
 def edge_clique_cover_number(g: Graph) -> int:
     """Minimum number of cliques covering every edge; 0 if there are none."""
-    size, _ = edge_clique_cover(g)
-    return size
+    return _min_cover(*_edge_cover_instance(g))[0]
 
 
 def edge_clique_cover(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Minimum edge clique cover, reported as (size, indices into
     maximal_cliques(g))."""
-    cliques = maximal_cliques(g)
-    inst = CoverInstance(g.edges(), _edge_candidates(g, cliques))
-    return min_set_cover(inst)
+    return _certified_cover(*_edge_cover_instance(g))
 
 
 def vertex_clique_cover_number(g: Graph) -> int:
     """Minimum number of cliques containing every vertex; 0 for n = 0."""
-    if g.n == 0:
-        return 0
-    inst = CoverInstance(range(g.n), maximal_cliques(g))
-    size, _ = min_set_cover(inst)
-    return size
+    cands = [sum(1 << v for v in c) for c in maximal_cliques(g)]
+    return _min_cover((1 << g.n) - 1, cands, _holders(cands, g.n))[0]
 
 
 def restricted_edge_cover_number(g: Graph, edge_subset: Iterable[tuple[int, int]]) -> int:
@@ -239,13 +235,9 @@ def restricted_edge_cover_number(g: Graph, edge_subset: Iterable[tuple[int, int]
     Cliques may cover edges outside the subset; only the subset must be hit.
     """
     edges = frozenset(tuple(sorted(e)) for e in edge_subset)
-    all_edges = frozenset(g.edges())
-    stray = edges - all_edges
+    bit = {e: 1 << i for i, e in enumerate(g.edges())}
+    stray = edges - bit.keys()
     if stray:
         raise ValueError(f"{min(stray)} is not an edge of the host graph")
-    if not edges:
-        return 0
-    cliques = maximal_cliques(g)
-    found = min_cover(edges, _edge_candidates(g, cliques))
-    assert found is not None
-    return found[0]
+    _, cands, holders = _edge_cover_instance(g)
+    return _min_cover(sum(bit[e] for e in edges), cands, holders)[0]

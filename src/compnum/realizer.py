@@ -10,11 +10,12 @@ the best known lower bound.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
 from .bounds import general_bound
-from .covers import maximal_cliques, min_cover
+from .covers import _bits, _clique_edge_masks, _holders, _min_cover, _packing_bound, maximal_cliques
 from .graphs import CycleError, Digraph, Graph, topological_order, write_arc_list, write_dot
 
 
@@ -131,6 +132,15 @@ def verify_realization(g: Graph, k: int, d: Digraph) -> Verification:
 # contribute nothing (no predecessors / a single predecessor covers no edge).
 # Swapping the first two vertices changes nothing either, so orderings with
 # v_1 > v_2 are skipped.
+#
+# The maximal cliques of the prefix subgraph G[P] are read off the host's
+# maximal cliques instead of being enumerated again: they are exactly the
+# inclusion-maximal nonempty traces C & P.  Every clique of G[P] lies in some
+# maximal C of G, hence in C & P, and every trace is itself a clique of G[P].
+# Sorted by member list they come in the order maximal_cliques(G[P]) has.
+#
+# The search state is two ints: the placed vertices as a vertex mask and the
+# covered edges as an edge mask (edge i of g.edges() is bit i).
 
 
 def find_realization(
@@ -146,53 +156,24 @@ def find_realization(
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     n = g.n
-    all_edges = frozenset(g.edges())
+    edges = g.edges()
+    all_edges = (1 << len(edges)) - 1
     host_cliques = maximal_cliques(g)
-    clique_edges = tuple(
-        frozenset((u, v) for u, v in combinations(sorted(c), 2)) for c in host_cliques
-    )
-    # Which maximal cliques cover each edge, as index bitmasks; drives the
-    # pairwise-disjointness pruning bound.
-    edge_mask = {}
-    for e in all_edges:
-        m = 0
-        for i, ce in enumerate(clique_edges):
-            if e in ce:
-                m |= 1 << i
-        edge_mask[e] = m
+    clique_edges = _clique_edge_masks(g, host_cliques)
+    holders = _holders(clique_edges, len(edges))
+    vertex_masks = [sum(1 << v for v in c) for c in host_cliques]
 
-    def packing_bound(uncovered: frozenset) -> int:
-        used = 0
-        count = 0
-        for e in sorted(uncovered):
-            m = edge_mask[e]
-            if not m & used:
-                count += 1
-                used |= m
-        return count
+    @functools.cache
+    def cliques_of_prefix(placed: int) -> list[tuple[tuple[int, ...], int]]:
+        """Maximal cliques of G[placed] as (members, edge mask)."""
+        inside = sum(1 << i for i, (u, v) in enumerate(edges) if (placed >> u) & (placed >> v) & 1)
+        traces = {c & placed: e & inside for c, e in zip(vertex_masks, clique_edges) if c & placed}
+        maximal = [t for t in traces if not any(t != s and t & s == t for s in traces)]
+        return sorted((tuple(_bits(t)), traces[t]) for t in maximal)
 
-    prefix_cliques: dict[frozenset, list[frozenset]] = {}
-
-    def cliques_of_prefix(placed: frozenset) -> list[frozenset]:
-        cached = prefix_cliques.get(placed)
-        if cached is None:
-            sub, relabel = g.induced_subgraph(placed)
-            back = {new: old for old, new in relabel.items()}
-            cached = [
-                frozenset(back[v] for v in c) for c in maximal_cliques(sub)
-            ]
-            prefix_cliques[placed] = cached
-        return cached
-
-    residual: dict[frozenset, tuple[int, ...] | None] = {}
-
-    def residual_cover(uncovered: frozenset) -> tuple[int, ...] | None:
-        if uncovered in residual:
-            return residual[uncovered]
-        found = min_cover(uncovered, clique_edges, cap=k)
-        result = None if found is None else found[1]
-        residual[uncovered] = result
-        return result
+    @functools.cache
+    def residual_cover(uncovered: int) -> tuple[int, tuple[int, ...]] | None:
+        return _min_cover(uncovered, clique_edges, holders, cap=k)
 
     nodes_left = [budget]
 
@@ -203,38 +184,33 @@ def find_realization(
         if nodes_left[0] < 0:
             raise BudgetExceededError(f"node budget of {budget} exhausted")
 
-    dead: set[tuple[frozenset, frozenset]] = set()
+    dead: set[tuple[int, int]] = set()
     order: list[int] = []
-    chosen: list[frozenset] = []
+    chosen: list[tuple[int, ...]] = []
 
-    def extend(placed: frozenset, covered: frozenset) -> RealizationWitness | None:
+    def extend(placed: int, covered: int) -> RealizationWitness | None:
         spend()
         if len(order) == n:
-            indices = residual_cover(all_edges - covered)
-            if indices is None:
+            found = residual_cover(all_edges & ~covered)
+            if found is None:
                 return None
-            return _assemble(g, k, order, chosen, [host_cliques[i] for i in indices])
+            return _assemble(g, k, order, chosen, [host_cliques[i] for i in found[1]])
         key = (placed, covered)
         if key in dead:
             return None
         # Feeder cliques only arrive at positions 3..n; count those slots.
         slots = max(0, n - max(len(order), 2))
-        if slots + k < packing_bound(all_edges - covered):
+        if slots + k < _packing_bound(all_edges & ~covered, holders):
             dead.add(key)
             return None
-        feeders = cliques_of_prefix(placed) if len(order) >= 2 else [frozenset()]
-        for v in sorted(frozenset(range(n)) - placed):
-            if len(order) == 1 and v < order[0]:
-                continue  # first two positions are interchangeable
+        feeders = cliques_of_prefix(placed) if len(order) >= 2 else [((), 0)]
+        for v in range(n):
+            if placed >> v & 1 or (len(order) == 1 and v < order[0]):
+                continue  # placed already, or the first two are interchangeable
             order.append(v)
-            for clique in feeders:
-                chosen.append(clique)
-                witness = extend(
-                    placed | {v},
-                    covered | frozenset(
-                        (a, b) for a, b in combinations(sorted(clique), 2)
-                    ),
-                )
+            for members, mask in feeders:
+                chosen.append(members)
+                witness = extend(placed | 1 << v, covered | mask)
                 if witness is not None:
                     return witness
                 chosen.pop()
@@ -242,14 +218,14 @@ def find_realization(
         dead.add(key)
         return None
 
-    return extend(frozenset(), frozenset())
+    return extend(0, 0)
 
 
 def _assemble(
     g: Graph,
     k: int,
     order: list[int],
-    feeders: list[frozenset],
+    feeders: list[tuple[int, ...]],
     residual_cliques: list[frozenset],
 ) -> RealizationWitness:
     n = g.n

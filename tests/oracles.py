@@ -82,6 +82,14 @@ def brute_edge_cover_number(g: Graph, target_edges=None) -> int:
     return brute_min_cover(target, covered_by)
 
 
+def brute_subset_term(g: Graph, subset) -> int:
+    """cover(U) by the paper's literal definition: the fewest cliques of the
+    subgraph induced on N[U] covering every edge incident to U."""
+    sub, relabel = g.induced_subgraph(g.closed_neighborhood(subset))
+    target = [(relabel[u], relabel[v]) for u, v in g.incident_edges(subset)]
+    return brute_edge_cover_number(sub, target)
+
+
 def brute_vertex_cover_number(g: Graph) -> int:
     if g.n == 0:
         return 0

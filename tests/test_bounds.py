@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from compnum import (
@@ -12,6 +14,7 @@ from compnum import (
     path_graph,
     star_graph,
 )
+from oracles import brute_subset_term
 
 
 class TestOpsutEdgeBound:
@@ -147,3 +150,17 @@ class TestGeneralBound:
                 # never exceed the overall maximum
                 assert pruned.term(m).value >= full.term(m).value
                 assert full.term(m).value <= full.general
+
+    def test_terms_match_the_literal_subset_definition(self, sweep):
+        # cover(U) is computed from the whole graph's maximal cliques; the
+        # oracle builds the closed-neighborhood subgraph and covers the
+        # incident edges by brute force, as the bound is defined
+        for e in sweep.entries:
+            g = e.graph
+            for term in e.report.terms:
+                values = {
+                    subset: brute_subset_term(g, subset) - term.m + 1
+                    for subset in combinations(range(g.n), term.m)
+                }
+                first_min = min(values, key=lambda s: (values[s], s))
+                assert (term.value, term.subset) == (values[first_min], first_min)

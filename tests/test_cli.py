@@ -59,6 +59,17 @@ class TestBound:
         # one clique covers K_3, so 1 - 3 + 2 = 0; the 4-cycle gives 2
         assert out.strip().splitlines() == ["0", "2"]
 
+    def test_stdin_skips_bad_lines_and_exits_1(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n!!\n?\nCl\n"))
+        code, out, err = run_cli(capsys, "bound", "--method", "opsut-e", "--stdin")
+        assert code == 1
+        # the lines after the malformed one and the 0-vertex one still run
+        assert out.strip().splitlines() == ["0", "2"]
+        assert "bound: skipped '!!': byte 0" in err
+        assert "bound: skipped '?': bound is undefined" in err
+
     def test_parse_error_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--method", "opsut-e", "B" + chr(200))
         assert code == 1 and "byte 1" in err
