@@ -19,7 +19,9 @@ import time
 from .bounds import general_bound, general_bound_term, opsut_edge_bound, opsut_vertex_bound
 from .graphs import (
     GENERATOR_FAMILIES,
+    Graph,
     GraphParseError,
+    _canonical_key,
     all_labeled_graphs,
     generate,
     parse_arc_list,
@@ -81,7 +83,8 @@ def _bound_one(args, parser, text: str) -> None:
     elif args.method == "opsut-v":
         _emit_single_bound(text, "opsut-v", opsut_vertex_bound(g), args.json)
     elif args.m is not None:
-        if not 1 <= args.m <= g.n:
+        # in a batch, a graph with fewer than m vertices is one bad line
+        if args.m < 1 or not args.stdin and args.m > g.n:
             parser.error(f"--m must be in 1..{g.n} for this graph")
         term = general_bound_term(g, args.m)
         _emit_single_bound(text, f"general[m={args.m}]", term.value, args.json)
@@ -171,6 +174,13 @@ def cmd_competition(args, parser) -> int:
 # -- survey -------------------------------------------------------------------
 
 
+# Survey row values by isomorphism class: {(canonical key, with_exact): the
+# columns theta_e..k_exact}.  Every one of them is an invariant, so a row of
+# an isomorphic input reuses them.  cmd_survey clears it; each --jobs worker
+# keeps its own.
+_ROW_MEMO: dict[tuple[tuple[int, int], bool], dict] = {}
+
+
 def _survey_row(task: tuple[str, bool, int | None]) -> dict:
     text, with_exact, budget = task
     started = time.perf_counter()
@@ -178,24 +188,35 @@ def _survey_row(task: tuple[str, bool, int | None]) -> dict:
         g = parse_graph6(text)
     except GraphParseError as err:
         return {"graph6": text, "error": str(err)}
-    report = general_bound(g, prune=True) if g.n else None
+    # Under a node budget the solver's node count, and so whether k_exact
+    # is "?", depends on the labeling: such rows are solved as given.
+    key = _canonical_key(g) if budget is None or not with_exact else None
+    values = _ROW_MEMO.get((key, with_exact))
+    if values is None:
+        values = _row_values(g, with_exact, budget)
+        if key is not None:
+            _ROW_MEMO[key, with_exact] = values
+    millis = int((time.perf_counter() - started) * 1000)
+    return {"graph6": text, "n": g.n, "edges": g.edge_count, **values, "millis": millis}
+
+
+def _row_values(g: Graph, with_exact: bool, budget: int | None) -> dict:
+    """The survey columns theta_e..k_exact of one graph, as labeled."""
+    if not g.n:
+        return {"theta_e": 0, "opsut_e": "", "opsut_v": "", "general": "", "k_exact": ""}
+    report = general_bound(g, prune=True)
     k_exact: str | int = ""
-    if with_exact and g.n:
+    if with_exact:
         try:
-            k_exact, _ = competition_number(g, budget=budget)
+            k_exact, _ = competition_number(g, start_k=_clamped(report.general), budget=budget)
         except BudgetExceededError:
             k_exact = "?"
-    millis = int((time.perf_counter() - started) * 1000)
     return {
-        "graph6": text,
-        "n": g.n,
-        "edges": g.edge_count,
-        "theta_e": 0 if report is None else report.opsut_edge + g.n - 2,
-        "opsut_e": "" if report is None else _clamped(report.opsut_edge),
-        "opsut_v": "" if report is None else _clamped(report.opsut_vertex),
-        "general": "" if report is None else _clamped(report.general),
+        "theta_e": report.opsut_edge + g.n - 2,
+        "opsut_e": _clamped(report.opsut_edge),
+        "opsut_v": _clamped(report.opsut_vertex),
+        "general": _clamped(report.general),
         "k_exact": k_exact,
-        "millis": millis,
     }
 
 
@@ -208,6 +229,7 @@ def cmd_survey(args, parser) -> int:
         with open(args.input) as fh:
             lines = [line.strip() for line in fh if line.strip()]
     tasks = [(text, args.with_exact, _env_budget()) for text in lines]
+    _ROW_MEMO.clear()
     if args.jobs > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_survey_row, tasks, chunksize=16))

@@ -21,7 +21,8 @@ from __future__ import annotations
 import heapq
 import random
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, permutations, product
+from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
 
 MAX_GRAPH6_VERTICES = 62
@@ -330,6 +331,47 @@ def write_graph6(g: Graph) -> str:
     if nbits:
         chars.append(chr(63 + (acc << (6 - nbits))))
     return "".join(chars)
+
+
+# -- canonical form ----------------------------------------------------------
+
+#: Most vertex orders _canonical_key tries.  6! keys every graph on at most
+#: 6 vertices, whatever its symmetry.
+_MAX_CELL_ORDERS = 720
+
+
+def _canonical_key(g: Graph) -> tuple[int, int] | None:
+    """``(n, code)``, equal for two graphs iff they are isomorphic, or None.
+
+    Colour refinement splits the vertices into cells by degree, then by the
+    colours of their neighbours, until the partition is stable; the cells
+    are ordered by an isomorphism-invariant rank.  Every order of the
+    vertices inside each cell is then tried, and ``code`` is the smallest
+    relabeled graph6 bit pattern, read as an integer.  When the cells admit
+    more than _MAX_CELL_ORDERS orders (C8, Petersen) the answer is None.
+    """
+    n, adj = g.n, g.adj
+    colour = [len(adj[v]) for v in range(n)]
+    while True:
+        signature = [(colour[v], tuple(sorted(colour[u] for u in adj[v]))) for v in range(n)]
+        rank = {s: i for i, s in enumerate(sorted(set(signature)))}
+        if len(rank) == len(set(colour)):
+            break
+        colour = [rank[s] for s in signature]
+    cells = [[v for v in range(n) if colour[v] == c] for c in sorted(set(colour))]
+    if prod(factorial(len(cell)) for cell in cells) > _MAX_CELL_ORDERS:
+        return None
+    best = None
+    for parts in product(*(permutations(cell) for cell in cells)):
+        order = [v for part in parts for v in part]
+        code = 0
+        for j in range(1, n):
+            row = adj[order[j]]
+            for i in range(j):
+                code = code << 1 | (order[i] in row)
+        if best is None or code < best:
+            best = code
+    return n, best
 
 
 # -- arc-list format ---------------------------------------------------------

@@ -2,8 +2,20 @@ import json
 
 import pytest
 
-from compnum import parse_arc_list, parse_graph6, verify_realization
+from compnum import (
+    BudgetExceededError,
+    all_labeled_graphs,
+    competition_number,
+    cycle_graph,
+    edge_clique_cover_number,
+    general_bound,
+    parse_arc_list,
+    parse_graph6,
+    verify_realization,
+    write_graph6,
+)
 from compnum.cli import main
+from compnum.graphs import _canonical_key
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +81,21 @@ class TestBound:
         assert out.strip().splitlines() == ["0", "2"]
         assert "bound: skipped '!!': byte 0" in err
         assert "bound: skipped '?': bound is undefined" in err
+
+    def test_stdin_m_skips_graphs_with_fewer_vertices(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("Bw\nCl\n"))
+        code, out, err = run_cli(capsys, "bound", "--method", "general", "--m", "4", "--stdin")
+        assert code == 1
+        # the triangle has no 4th term; the 4-cycle's is 1
+        assert out.strip().splitlines() == ["1"]
+        assert "bound: skipped 'Bw': m must be in 1..3" in err
+
+    def test_single_graph_m_out_of_range_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["bound", "--method", "general", "--m", "5", "Cl"])
+        assert info.value.code == 2
 
     def test_parse_error_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--method", "opsut-e", "B" + chr(200))
@@ -258,6 +285,62 @@ class TestSurvey:
             return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
 
         assert stable(one) == stable(two)
+
+    @staticmethod
+    def jsonl_rows(capsys, tmp_path, *argv):
+        out_path = tmp_path / "out.jsonl"
+        code, _, _ = run_cli(capsys, "survey", *argv, "-o", str(out_path))
+        assert code == 0
+        rows = [json.loads(line) for line in out_path.read_text().splitlines()]
+        for row in rows:
+            del row["millis"]
+        return rows
+
+    def test_rows_match_a_direct_computation(self, capsys, tmp_path):
+        # isomorphic inputs share one computation; no row may tell
+        rows = self.jsonl_rows(capsys, tmp_path, "--all-labeled", "4", "--with-exact")
+        expected = []
+        for g in all_labeled_graphs(4):
+            report = general_bound(g)
+            expected.append({
+                "graph6": write_graph6(g),
+                "n": 4,
+                "edges": g.edge_count,
+                "theta_e": edge_clique_cover_number(g),
+                "opsut_e": max(0, report.opsut_edge),
+                "opsut_v": max(0, report.opsut_vertex),
+                "general": max(0, report.general),
+                "k_exact": competition_number(g)[0],
+            })
+        assert rows == expected
+
+    def test_budgeted_rows_are_solved_as_labeled(self, capsys, tmp_path, monkeypatch):
+        # the forward search's node count depends on the labeling, so under
+        # a budget isomorphic inputs may differ in whether k_exact is known
+        monkeypatch.setenv("COMPNUM_BUDGET_NODES", "20")
+        rows = self.jsonl_rows(capsys, tmp_path, "--all-labeled", "5", "--with-exact")
+        graphs = list(all_labeled_graphs(5))
+        assert len(rows) == len(graphs)
+        for row, g in zip(rows, graphs):
+            try:
+                k = competition_number(g, budget=20)[0]
+            except BudgetExceededError:
+                k = "?"
+            assert row["k_exact"] == k, row["graph6"]
+
+    def test_unkeyed_graphs_are_solved_directly(self, capsys, tmp_path):
+        c10 = write_graph6(cycle_graph(10))
+        petersen = "IheA@GUAo"
+        assert _canonical_key(parse_graph6(petersen)) is None
+        assert _canonical_key(cycle_graph(10)) is None
+        src = tmp_path / "in.g6"
+        src.write_text(f"{c10}\n{petersen}\n{c10}\n")
+        rows = self.jsonl_rows(capsys, tmp_path, "--input", str(src), "--with-exact")
+        c10_row = {"graph6": c10, "n": 10, "edges": 10, "theta_e": 10, "opsut_e": 2,
+                   "opsut_v": 2, "general": 2, "k_exact": 2}
+        petersen_row = {"graph6": petersen, "n": 10, "edges": 15, "theta_e": 15, "opsut_e": 7,
+                        "opsut_v": 3, "general": 7, "k_exact": 7}
+        assert rows == [c10_row, petersen_row, c10_row]
 
     def test_requires_exactly_one_source(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -25,6 +25,7 @@ from compnum import (
     write_dot,
     write_graph6,
 )
+from compnum.graphs import _canonical_key
 
 
 # -- graph6 --------------------------------------------------------------------
@@ -332,3 +333,42 @@ class TestAllLabeledGraphs:
         with pytest.raises(ValueError, match="force"):
             next(all_labeled_graphs(7))
         assert next(all_labeled_graphs(7, force=True)) == edgeless_graph(7)
+
+
+class TestCanonicalKey:
+    @staticmethod
+    def to_nx(g):
+        ref = nx.Graph()
+        ref.add_nodes_from(range(g.n))
+        ref.add_edges_from(g.edges())
+        return ref
+
+    @pytest.mark.parametrize("n,classes", [(0, 1), (1, 1), (2, 2), (3, 4), (4, 11), (5, 34)])
+    def test_equal_keys_iff_isomorphic(self, n, classes):
+        by_key = {}
+        for g in all_labeled_graphs(n):
+            by_key.setdefault(_canonical_key(g), []).append(self.to_nx(g))
+        assert None not in by_key and len(by_key) == classes
+        for members in by_key.values():
+            assert all(nx.is_isomorphic(members[0], h) for h in members[1:])
+        firsts = [members[0] for members in by_key.values()]
+        for i, a in enumerate(firsts):
+            assert not any(nx.is_isomorphic(a, b) for b in firsts[i + 1:])
+
+    @pytest.mark.parametrize("n,p", [(8, 0.5), (10, 0.3)])
+    def test_relabelings_share_the_key(self, n, p):
+        rng = random.Random(2012)
+        keyed = 0
+        for seed in range(4):
+            g = random_graph(n, p, seed=seed)
+            key = _canonical_key(g)
+            keyed += key is not None
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+                assert _canonical_key(h) == key
+        assert keyed  # the draws are not all too symmetric to key
+
+    def test_highly_symmetric_graph_is_not_keyed(self):
+        assert _canonical_key(cycle_graph(8)) is None
