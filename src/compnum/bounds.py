@@ -19,7 +19,8 @@ cover the edges incident to U, which is the same number: a clique covering an
 edge at u in U lies inside N[u], hence inside N[U], so it is a clique of that
 subgraph, and every clique of the subgraph is one of the graph (enlarging
 cliques to maximal ones uncovers nothing).  One clique enumeration per graph
-thus serves every subset.
+thus serves every subset, and opsut_vertex_bound counts its covers of N(v) on
+the graph's own cliques too (covers._Cliques says why that is the same).
 
 The m = 1 term of the general bound equals opsut_vertex_bound, and for
 n >= 2 the m = n-1 term equals opsut_edge_bound, so the general bound
@@ -36,10 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
 
-from .covers import _clique_edge_masks, _holders, _min_cover, maximal_cliques
-from .covers import edge_clique_cover_number, vertex_clique_cover_number
+from .covers import _Cliques, edge_clique_cover_number
 from .graphs import Graph
 
 
@@ -89,35 +88,11 @@ def opsut_edge_bound(g: Graph) -> int:
 def opsut_vertex_bound(g: Graph) -> int:
     """Neighborhood-cover lower bound, 0 as soon as some vertex is isolated."""
     _require_vertices(g)
-    best = None
-    for v in range(g.n):
-        sub, _ = g.induced_subgraph(g.neighbors(v))
-        value = vertex_clique_cover_number(sub)
-        if best is None or value < best:
-            best = value
-    return best
+    t = _Cliques(g)
+    return min(t.vertex_cover_number(sum(1 << u for u in g.neighbors(v))) for v in range(g.n))
 
 
-def _subset_cover(g: Graph) -> Callable[[tuple[int, ...]], int]:
-    """cover(U) for vertex subsets U of g, all on one set of clique masks."""
-    edges = g.edges()
-    cands = _clique_edge_masks(g, maximal_cliques(g))
-    holders = _holders(cands, len(edges))
-    incident = [0] * g.n
-    for i, (u, v) in enumerate(edges):
-        incident[u] |= 1 << i
-        incident[v] |= 1 << i
-
-    def cover(subset: tuple[int, ...]) -> int:
-        target = 0
-        for u in subset:
-            target |= incident[u]
-        return _min_cover(target, cands, holders)[0]
-
-    return cover
-
-
-def _scan(g: Graph, m: int, cover: Callable, floor: int | None = None) -> tuple[BoundTerm, bool]:
+def _scan(g: Graph, t: _Cliques, m: int, floor: int | None = None) -> tuple[BoundTerm, bool]:
     """The m-th term with its lexicographically first minimizing subset.
 
     With ``floor`` set, the scan stops as soon as the running minimum drops to
@@ -125,7 +100,10 @@ def _scan(g: Graph, m: int, cover: Callable, floor: int | None = None) -> tuple[
     """
     best = argmin = None
     for subset in combinations(range(g.n), m):
-        value = cover(subset) - m + 1
+        edges = 0
+        for u in subset:
+            edges |= t.incident[u]
+        value = t.cover(edges)[0] - m + 1
         if best is None or value < best:
             best, argmin = value, subset
             if floor is not None and best <= floor:
@@ -138,7 +116,7 @@ def general_bound_term(g: Graph, m: int) -> BoundTerm:
     _require_vertices(g)
     if not 1 <= m <= g.n:
         raise ValueError(f"m must be in 1..{g.n}, got {m}")
-    return _scan(g, m, _subset_cover(g))[0]
+    return _scan(g, _Cliques(g), m)[0]
 
 
 def general_bound(g: Graph, prune: bool = False) -> BoundReport:
@@ -150,12 +128,12 @@ def general_bound(g: Graph, prune: bool = False) -> BoundReport:
     either way, and identical between pruned and unpruned runs.
     """
     _require_vertices(g)
-    cover = _subset_cover(g)
+    t = _Cliques(g)
     terms: list[BoundTerm] = []
     truncated: set[int] = set()
     best: int | None = None
     for m in range(1, g.n + 1):
-        term, cut = _scan(g, m, cover, best if prune else None)
+        term, cut = _scan(g, t, m, best if prune else None)
         terms.append(term)
         if cut:
             truncated.add(m)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import json
 import os
@@ -44,9 +45,11 @@ def _env_budget() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        if (budget := int(raw)) >= 0:
+            return budget
     except ValueError:
-        raise GraphParseError(f"COMPNUM_BUDGET_NODES must be an integer, got {raw!r}") from None
+        pass
+    raise GraphParseError(f"COMPNUM_BUDGET_NODES must be a nonnegative integer, got {raw!r}")
 
 
 def _budget_from(args) -> int | None:
@@ -137,6 +140,9 @@ def _graph_inputs(args, parser) -> list[str]:
 
 
 def cmd_exact(args, parser) -> int:
+    for flag, value in (("--start-k", args.start_k), ("--budget", args.budget)):
+        if value is not None and value < 0:
+            parser.error(f"{flag} must be nonnegative, got {value}")
     g = parse_graph6(args.graph6)
     try:
         k, witness = competition_number(g, start_k=args.start_k, budget=_budget_from(args))
@@ -228,35 +234,29 @@ def cmd_survey(args, parser) -> int:
     else:
         with open(args.input) as fh:
             lines = [line.strip() for line in fh if line.strip()]
-    tasks = [(text, args.with_exact, _env_budget()) for text in lines]
+    budget = _env_budget()
+    tasks = [(text, args.with_exact, budget) for text in lines]
     _ROW_MEMO.clear()
-    if args.jobs > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_survey_row, tasks, chunksize=16))
-    else:
-        rows = [_survey_row(t) for t in tasks]
-
-    errors = sum(1 for r in rows if "error" in r)
     as_jsonl = args.output is not None and args.output.endswith(".jsonl")
-    out = open(args.output, "w") if args.output else sys.stdout
-    try:
-        if as_jsonl:
-            for row in rows:
-                out.write(json.dumps(row) + "\n")
+    errors = 0
+    with contextlib.ExitStack() as stack:
+        out = stack.enter_context(open(args.output, "w")) if args.output else sys.stdout
+        if args.jobs > 1 and len(tasks) > 1:
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs))
+            rows = pool.map(_survey_row, tasks, chunksize=16)  # lazy, in input order
         else:
-            writer = csv.writer(out, lineterminator="\n")
+            rows = map(_survey_row, tasks)
+        writer = csv.writer(out, lineterminator="\n")
+        if not as_jsonl:
             writer.writerow(SURVEY_COLUMNS)
-            for row in rows:
-                if "error" in row:
-                    writer.writerow([row["graph6"]] + [""] * (len(SURVEY_COLUMNS) - 1))
-                else:
-                    writer.writerow([row[c] for c in SURVEY_COLUMNS])
-    finally:
-        if args.output:
-            out.close()
-    for row in rows:
-        if "error" in row:
-            print(f"survey: skipped {row['graph6']!r}: {row['error']}", file=sys.stderr)
+        for row in rows:
+            if "error" in row:
+                errors += 1
+                print(f"survey: skipped {row['graph6']!r}: {row['error']}", file=sys.stderr)
+            if as_jsonl:
+                out.write(json.dumps(row) + "\n")
+            else:  # a skipped line's row is its graph6 and blanks
+                writer.writerow([row.get(c, "") for c in SURVEY_COLUMNS])
     if errors:
         print(f"survey: {errors} malformed input line(s)", file=sys.stderr)
     return EXIT_OK

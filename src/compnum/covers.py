@@ -52,7 +52,7 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
 # -- exact set cover ---------------------------------------------------------
 #
 # One bitmask kernel carries every cover search in the package.  Element i of
-# the sorted universe is bit i (for edge covers, edge i of ``g.edges()``), a
+# the sorted universe is bit i (for a graph's cliques, see ``_Cliques``), a
 # candidate is the mask of its elements, and ``holders[b]`` is the mask of the
 # candidates holding bit b.  The search order is fixed so that answers and
 # witnesses are deterministic: the greedy start breaks ties on the lowest
@@ -172,13 +172,6 @@ def _index(
     return (1 << len(elements)) - 1, cands, holders
 
 
-def _clique_edge_masks(g: Graph, cliques: Iterable[Iterable[int]]) -> list[int]:
-    """Each clique as the mask of the edges it covers, edge i of g.edges()
-    being bit i."""
-    bit = {e: 1 << i for i, e in enumerate(g.edges())}
-    return [sum(bit[e] for e in combinations(sorted(c), 2)) for c in cliques]
-
-
 def min_cover(
     universe: Iterable[Hashable],
     candidates: Sequence[frozenset],
@@ -207,26 +200,72 @@ def min_set_cover(inst: CoverInstance) -> tuple[int, tuple[int, ...]]:
 # -- clique cover numbers ------------------------------------------------------
 
 
-def _edge_cover_instance(g: Graph) -> tuple[int, list[int], list[int]]:
-    cands = _clique_edge_masks(g, maximal_cliques(g))
-    return (1 << g.edge_count) - 1, cands, _holders(cands, g.edge_count)
+class _Cliques:
+    """The maximal cliques of one graph, laid out for the kernel.
+
+    Vertex v is bit v and edge i of ``g.edges()`` is bit i; no other code
+    knows this.  ``cliques[j]`` has the masks ``vertex_masks[j]`` and
+    ``edge_masks[j]``, ``bit`` maps an edge to its bit, and ``incident[v]``
+    masks the edges at v.
+
+    Induced subgraphs G[S] need no second enumeration.  Every trace C & S is
+    a clique of G[S], and every clique of G[S] lies in some maximal C, hence
+    in C & S.  So the maximal cliques of G[S] are the maximal nonempty
+    traces, and S needs as many traces as cliques of G[S] to cover it.
+    """
+
+    def __init__(self, g: Graph):
+        edges = g.edges()
+        self.cliques = maximal_cliques(g)
+        self.bit = {e: 1 << i for i, e in enumerate(edges)}
+        self.vertex_masks = [sum(1 << v for v in c) for c in self.cliques]
+        self.edge_masks = [sum(self.bit[e] for e in combinations(sorted(c), 2)) for c in self.cliques]
+        self.vertex_holders = _holders(self.vertex_masks, g.n)
+        self.edge_holders = _holders(self.edge_masks, len(edges))
+        self.incident = [0] * g.n
+        for i, (u, v) in enumerate(edges):
+            self.incident[u] |= 1 << i
+            self.incident[v] |= 1 << i
+
+    def cover(self, edges: int, cap: int | None = None) -> tuple[int, tuple[int, ...]] | None:
+        """Fewest cliques covering the edge mask, as _min_cover reports it."""
+        return _min_cover(edges, self.edge_masks, self.edge_holders, cap)
+
+    def packing_bound(self, edges: int) -> int:
+        return _packing_bound(edges, self.edge_holders)
+
+    def vertex_cover_number(self, vertices: int) -> int:
+        """Fewest cliques of G[S] covering S, for the vertex mask of S."""
+        return _min_cover(vertices, self.vertex_masks, self.vertex_holders)[0]
+
+    def within(self, vertices: int) -> list[tuple[tuple[int, ...], int]]:
+        """The maximal cliques of G[S] for the vertex mask of S, as (members,
+        edge mask), sorted by members as maximal_cliques(G[S]) sorts them."""
+        leaving = 0
+        for v, edges in enumerate(self.incident):
+            if not vertices >> v & 1:
+                leaving |= edges
+        pairs = zip(self.vertex_masks, self.edge_masks)
+        traces = {c & vertices: e & ~leaving for c, e in pairs if c & vertices}
+        maximal = [t for t in traces if not any(t != s and t & s == t for s in traces)]
+        return sorted((tuple(_bits(t)), traces[t]) for t in maximal)
 
 
 def edge_clique_cover_number(g: Graph) -> int:
     """Minimum number of cliques covering every edge; 0 if there are none."""
-    return _min_cover(*_edge_cover_instance(g))[0]
+    return _Cliques(g).cover((1 << g.edge_count) - 1)[0]
 
 
 def edge_clique_cover(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Minimum edge clique cover, reported as (size, indices into
     maximal_cliques(g))."""
-    return _certified_cover(*_edge_cover_instance(g))
+    t = _Cliques(g)
+    return _certified_cover((1 << g.edge_count) - 1, t.edge_masks, t.edge_holders)
 
 
 def vertex_clique_cover_number(g: Graph) -> int:
     """Minimum number of cliques containing every vertex; 0 for n = 0."""
-    cands = [sum(1 << v for v in c) for c in maximal_cliques(g)]
-    return _min_cover((1 << g.n) - 1, cands, _holders(cands, g.n))[0]
+    return _Cliques(g).vertex_cover_number((1 << g.n) - 1)
 
 
 def restricted_edge_cover_number(g: Graph, edge_subset: Iterable[tuple[int, int]]) -> int:
@@ -235,9 +274,8 @@ def restricted_edge_cover_number(g: Graph, edge_subset: Iterable[tuple[int, int]
     Cliques may cover edges outside the subset; only the subset must be hit.
     """
     edges = frozenset(tuple(sorted(e)) for e in edge_subset)
-    bit = {e: 1 << i for i, e in enumerate(g.edges())}
-    stray = edges - bit.keys()
+    t = _Cliques(g)
+    stray = edges - t.bit.keys()
     if stray:
         raise ValueError(f"{min(stray)} is not an edge of the host graph")
-    _, cands, holders = _edge_cover_instance(g)
-    return _min_cover(sum(bit[e] for e in edges), cands, holders)[0]
+    return t.cover(sum(t.bit[e] for e in edges))[0]

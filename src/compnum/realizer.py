@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .bounds import general_bound
-from .covers import _bits, _clique_edge_masks, _holders, _min_cover, _packing_bound, maximal_cliques
+from .covers import _Cliques
 from .graphs import CycleError, Digraph, Graph, topological_order, write_arc_list, write_dot
 
 
@@ -134,13 +134,8 @@ def verify_realization(g: Graph, k: int, d: Digraph) -> Verification:
 # v_1 > v_2 are skipped.
 #
 # The maximal cliques of the prefix subgraph G[P] are read off the host's
-# maximal cliques instead of being enumerated again: they are exactly the
-# inclusion-maximal nonempty traces C & P.  Every clique of G[P] lies in some
-# maximal C of G, hence in C & P, and every trace is itself a clique of G[P].
-# Sorted by member list they come in the order maximal_cliques(G[P]) has.
-#
-# The search state is two ints: the placed vertices as a vertex mask and the
-# covered edges as an edge mask (edge i of g.edges() is bit i).
+# (covers._Cliques.within).  The search state is two ints: the placed
+# vertices and the covered edges, as masks in the layout of covers._Cliques.
 
 
 def find_realization(
@@ -156,24 +151,10 @@ def find_realization(
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     n = g.n
-    edges = g.edges()
-    all_edges = (1 << len(edges)) - 1
-    host_cliques = maximal_cliques(g)
-    clique_edges = _clique_edge_masks(g, host_cliques)
-    holders = _holders(clique_edges, len(edges))
-    vertex_masks = [sum(1 << v for v in c) for c in host_cliques]
-
-    @functools.cache
-    def cliques_of_prefix(placed: int) -> list[tuple[tuple[int, ...], int]]:
-        """Maximal cliques of G[placed] as (members, edge mask)."""
-        inside = sum(1 << i for i, (u, v) in enumerate(edges) if (placed >> u) & (placed >> v) & 1)
-        traces = {c & placed: e & inside for c, e in zip(vertex_masks, clique_edges) if c & placed}
-        maximal = [t for t in traces if not any(t != s and t & s == t for s in traces)]
-        return sorted((tuple(_bits(t)), traces[t]) for t in maximal)
-
-    @functools.cache
-    def residual_cover(uncovered: int) -> tuple[int, tuple[int, ...]] | None:
-        return _min_cover(uncovered, clique_edges, holders, cap=k)
+    all_edges = (1 << g.edge_count) - 1
+    t = _Cliques(g)
+    cliques_of_prefix = functools.cache(t.within)
+    residual_cover = functools.cache(functools.partial(t.cover, cap=k))
 
     nodes_left = [budget]
 
@@ -194,13 +175,13 @@ def find_realization(
             found = residual_cover(all_edges & ~covered)
             if found is None:
                 return None
-            return _assemble(g, k, order, chosen, [host_cliques[i] for i in found[1]])
+            return _assemble(g, k, order, chosen, [t.cliques[i] for i in found[1]])
         key = (placed, covered)
         if key in dead:
             return None
         # Feeder cliques only arrive at positions 3..n; count those slots.
         slots = max(0, n - max(len(order), 2))
-        if slots + k < _packing_bound(all_edges & ~covered, holders):
+        if slots + k < t.packing_bound(all_edges & ~covered):
             dead.add(key)
             return None
         feeders = cliques_of_prefix(placed) if len(order) >= 2 else [((), 0)]

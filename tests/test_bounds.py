@@ -12,9 +12,10 @@ from compnum import (
     opsut_edge_bound,
     opsut_vertex_bound,
     path_graph,
+    random_graphs,
     star_graph,
 )
-from oracles import brute_subset_term
+from oracles import brute_subset_term, brute_vertex_cover_number
 
 
 class TestOpsutEdgeBound:
@@ -49,6 +50,17 @@ class TestOpsutVertexBound:
     def test_rejects_empty_graph(self):
         with pytest.raises(ValueError):
             opsut_vertex_bound(Graph(0))
+
+    def test_matches_the_literal_definition(self, graphs_up_to_3, graphs_4, graphs_5):
+        # the bound covers N(v) by the whole graph's maximal cliques; the
+        # oracle builds G[N(v)] and covers it by brute force over all its cliques
+        for g in graphs_up_to_3 + graphs_4 + graphs_5 + random_graphs(8, 0.5, 2012, 4):
+            if g.n == 0:
+                continue
+            expected = min(
+                brute_vertex_cover_number(g.induced_subgraph(g.neighbors(v))[0]) for v in range(g.n)
+            )
+            assert opsut_vertex_bound(g) == expected, g
 
 
 class TestGeneralBoundTerm:

@@ -14,6 +14,7 @@ from compnum import (
     verify_realization,
     write_graph6,
 )
+from compnum import cli
 from compnum.cli import main
 from compnum.graphs import _canonical_key
 
@@ -141,6 +142,20 @@ class TestExact:
         code, out, _ = run_cli(capsys, "exact", "--budget", "100000", "Cl")
         assert code == 0 and out.strip() == "k = 2"
 
+    @pytest.mark.parametrize("flag", ["--start-k", "--budget"])
+    def test_negative_start_k_or_budget_is_a_usage_error(self, capsys, flag):
+        with pytest.raises(SystemExit) as info:
+            main(["exact", flag, "-1", "Cl"])
+        assert info.value.code == 2
+        assert f"{flag} must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["-5", "many"])
+    def test_bad_budget_env_var_is_an_error(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("COMPNUM_BUDGET_NODES", raw)
+        code, out, err = run_cli(capsys, "exact", "Cl")
+        assert code == 1 and out == ""
+        assert "COMPNUM_BUDGET_NODES must be a nonnegative integer" in err
+
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "exact", "--json", "Cl")
         assert code == 0 and json.loads(out) == {"graph6": "Cl", "k": 2}
@@ -263,6 +278,34 @@ class TestSurvey:
         assert len(lines) == 4
         assert lines[2].startswith("!!bad!!,")
         assert "1 malformed" in err
+
+    def test_rows_stream_in_input_order(self, capsys, tmp_path, monkeypatch):
+        # each row, and each skipped line's report, goes out before the next
+        # input is solved: stop the survey at its third input and look
+        src = tmp_path / "in.g6"
+        src.write_text("Cl\n!!bad!!\nBw\n")
+        solve = cli._survey_row
+
+        def stop_at_bw(task):
+            if task[0] == "Bw":
+                raise RuntimeError("stopped")
+            return solve(task)
+
+        monkeypatch.setattr(cli, "_survey_row", stop_at_bw)
+        with pytest.raises(RuntimeError):
+            main(["survey", "--input", str(src)])
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert len(lines) == 3
+        assert lines[1].startswith("Cl,4,4,4,2,2,2,,")
+        assert lines[2] == "!!bad!!,,,,,,,,"
+        assert "survey: skipped '!!bad!!'" in err
+
+    def test_negative_budget_env_var_is_an_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("COMPNUM_BUDGET_NODES", "-1")
+        code, out, err = run_cli(capsys, "survey", "--all-labeled", "2", "--with-exact")
+        assert code == 1 and out == ""
+        assert "nonnegative" in err
 
     def test_jsonl_mirrors_rows(self, capsys, tmp_path):
         src = tmp_path / "in.g6"

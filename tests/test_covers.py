@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -15,9 +16,11 @@ from compnum import (
     min_cover,
     min_set_cover,
     path_graph,
+    random_graphs,
     restricted_edge_cover_number,
     vertex_clique_cover_number,
 )
+from compnum.covers import _Cliques
 from oracles import (
     adjacency_masks,
     brute_edge_cover_number,
@@ -210,3 +213,28 @@ class TestRestrictedCover:
             edges = g.edges()
             target = [e for e in edges if rng.random() < 0.6]
             assert restricted_edge_cover_number(g, target) == brute_edge_cover_number(g, target)
+
+
+class TestCliqueTable:
+    def test_within_is_the_maximal_cliques_of_the_induced_subgraph(self, graphs_up_to_3, graphs_4, graphs_5):
+        # within(S) reads G[S]'s cliques off the host's; enumerating G[S]
+        # itself must give the same cliques, edge masks and order
+        for g in graphs_up_to_3 + graphs_4 + graphs_5 + random_graphs(8, 0.5, 2012, 3):
+            t = _Cliques(g)
+            for s in range(1 << g.n):
+                members = [v for v in range(g.n) if s >> v & 1]
+                sub, _ = g.induced_subgraph(members)
+                expected = []
+                for c in maximal_cliques(sub):
+                    clique = tuple(members[i] for i in sorted(c))
+                    expected.append((clique, sum(t.bit[e] for e in combinations(clique, 2))))
+                assert t.within(s) == expected, (g, members)
+
+    def test_layout(self):
+        g = path_graph(3)  # edges (0, 1) and (1, 2)
+        t = _Cliques(g)
+        assert t.cliques == maximal_cliques(g)
+        assert t.bit == {(0, 1): 1, (1, 2): 2}
+        assert t.vertex_masks == [0b011, 0b110]
+        assert t.edge_masks == [1, 2]
+        assert t.incident == [1, 3, 2]

@@ -11,6 +11,7 @@ from compnum import (
     competition_graph,
     competition_number,
     complete_graph,
+    complete_multipartite_graph,
     cover_from_witness,
     cycle_graph,
     edgeless_graph,
@@ -18,6 +19,7 @@ from compnum import (
     general_bound,
     parse_arc_list,
     path_graph,
+    random_graphs,
     verify_realization,
 )
 
@@ -148,6 +150,39 @@ class TestFindRealization:
         position = {v: i for i, v in enumerate(w.ordering)}
         for u, v in w.digraph.arcs:
             assert position[u] < position[v]
+
+    # The search order, pinned: the fewest nodes each level needs (it
+    # succeeds with that budget and runs out one below it) and the witness
+    # found.  The benchmark checks neither, only k.
+    @pytest.mark.parametrize(
+        "g, k, nodes, arcs, ordering",
+        [
+            (cycle_graph(5), 1, 1, None, None),
+            (cycle_graph(5), 2, 9, "0 2|0 5|1 2|1 3|2 3|2 4|3 4|3 6|4 5|4 6", (0, 1, 2, 3, 4, 5, 6)),
+            (complete_multipartite_graph([3, 3, 2]), 3, 9733, None, None),
+            (
+                complete_multipartite_graph([3, 3, 2]), 4, 5214,
+                "0 2|0 3|0 4|0 8|1 5|1 6|1 9|2 7|2 10|2 11|3 4|3 5|3 10|4 2|4 6|4 11|"
+                "5 7|5 8|5 9|6 2|6 5|6 7|7 8|7 9|7 10|7 11",
+                (0, 1, 3, 4, 6, 2, 5, 7, 8, 9, 10, 11),
+            ),
+            (random_graphs(8, 0.5, 11, 1)[0], 0, 514, None, None),
+            (
+                random_graphs(8, 0.5, 11, 1)[0], 1, 315,
+                "0 3|0 4|0 6|1 2|1 4|1 6|2 8|3 5|4 3|4 7|5 2|5 8|6 2|6 5|6 7|7 2|7 3|7 5",
+                (0, 1, 4, 6, 7, 3, 5, 2, 8),
+            ),
+        ],
+    )
+    def test_node_counts_and_witnesses_are_pinned(self, g, k, nodes, arcs, ordering):
+        w = find_realization(g, k, budget=nodes)
+        if arcs is None:
+            assert w is None
+        else:
+            assert w.to_arc_list() == f"digraph {g.n + k}\n" + arcs.replace("|", "\n") + "\n"
+            assert w.ordering == ordering
+        with pytest.raises(BudgetExceededError):
+            find_realization(g, k, budget=nodes - 1)
 
 
 class TestCompetitionNumber:
