@@ -26,7 +26,8 @@ The m = 1 term of the general bound equals opsut_vertex_bound, and for
 n >= 2 the m = n-1 term equals opsut_edge_bound, so the general bound
 dominates both; the test suite checks these identities exhaustively on
 small-graph corpora.  The two classical bounds are computed on their own, not
-read off the terms, so that those identities stay real checks.
+read off the terms, so that those identities stay real checks; general_bound
+only lets them share its clique table.
 
 Bounds are reported unclamped and can be negative (for complete graphs the
 m-th term is 2 - m).  Callers compare against competition numbers with
@@ -38,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .covers import _Cliques, edge_clique_cover_number
+from .covers import _Cliques
 from .graphs import Graph
 
 
@@ -82,18 +83,31 @@ def _require_vertices(g: Graph) -> None:
 def opsut_edge_bound(g: Graph) -> int:
     """Edge-cover lower bound: edge clique cover number - n + 2, unclamped."""
     _require_vertices(g)
-    return edge_clique_cover_number(g) - g.n + 2
+    return _opsut_edge(g, _Cliques(g))
+
+
+def _opsut_edge(g: Graph, t: _Cliques) -> int:
+    return t.cover((1 << g.edge_count) - 1)[0] - g.n + 2
 
 
 def opsut_vertex_bound(g: Graph) -> int:
     """Neighborhood-cover lower bound, 0 as soon as some vertex is isolated."""
     _require_vertices(g)
-    t = _Cliques(g)
+    return _opsut_vertex(g, _Cliques(g))
+
+
+def _opsut_vertex(g: Graph, t: _Cliques) -> int:
     return min(t.vertex_cover_number(sum(1 << u for u in g.neighbors(v))) for v in range(g.n))
 
 
 def _scan(g: Graph, t: _Cliques, m: int, floor: int | None = None) -> tuple[BoundTerm, bool]:
     """The m-th term with its lexicographically first minimizing subset.
+
+    A subset only matters if it beats the running minimum ``best``, that is
+    if cover(U) - m + 1 < best, so once there is a minimum each cover is
+    capped at best + m - 2 and a subset the capped search rejects is skipped.
+    Only strictly smaller values replace the minimum, so the value and the
+    subset are those of the literal scan.
 
     With ``floor`` set, the scan stops as soon as the running minimum drops to
     it; the second value says whether it stopped early.
@@ -103,9 +117,9 @@ def _scan(g: Graph, t: _Cliques, m: int, floor: int | None = None) -> tuple[Boun
         edges = 0
         for u in subset:
             edges |= t.incident[u]
-        value = t.cover(edges)[0] - m + 1
-        if best is None or value < best:
-            best, argmin = value, subset
+        found = t.cover(edges, None if best is None else best + m - 2)
+        if found is not None:
+            best, argmin = found[0] - m + 1, subset
             if floor is not None and best <= floor:
                 return BoundTerm(m, best, argmin), True
     return BoundTerm(m, best, argmin), False
@@ -141,8 +155,8 @@ def general_bound(g: Graph, prune: bool = False) -> BoundReport:
             best = term.value if best is None else max(best, term.value)
     return BoundReport(
         n=g.n,
-        opsut_edge=opsut_edge_bound(g),
-        opsut_vertex=opsut_vertex_bound(g),
+        opsut_edge=_opsut_edge(g, t),
+        opsut_vertex=_opsut_vertex(g, t),
         terms=tuple(terms),
         general=best,
         truncated_ms=frozenset(truncated),

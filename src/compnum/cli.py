@@ -227,6 +227,8 @@ def _row_values(g: Graph, with_exact: bool, budget: int | None) -> dict:
 
 
 def cmd_survey(args, parser) -> int:
+    if args.jobs < 1:
+        parser.error(f"--jobs must be positive, got {args.jobs}")
     if args.all_labeled is not None:
         if not 0 <= args.all_labeled <= 6:
             parser.error("--all-labeled supports 0..6 vertices")
@@ -266,6 +268,8 @@ def cmd_survey(args, parser) -> int:
 
 
 def cmd_gen(args, parser) -> int:
+    if args.count < 0:
+        parser.error(f"--count must be nonnegative, got {args.count}")
     try:
         params = [float(p) if "." in p else int(p) for p in args.params.split(",") if p]
     except ValueError:

@@ -57,7 +57,9 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
 # candidates holding bit b.  The search order is fixed so that answers and
 # witnesses are deterministic: the greedy start breaks ties on the lowest
 # index, and the search branches on the lowest uncovered bit among those with
-# the fewest holders, trying its holders in ascending order.
+# the fewest holders, trying its holders in ascending order.  A capped search
+# whose packing bound already exceeds the cap answers None before the greedy
+# start, since no cover within the cap can exist.
 
 
 class CoverInstance:
@@ -90,12 +92,16 @@ def _holders(cands: Sequence[int], width: int) -> list[int]:
 
 def _packing_bound(uncovered: int, holders: Sequence[int]) -> int:
     # Count elements no single candidate can pair up: a lower bound on the
-    # number of sets any cover must use.
+    # number of sets any cover must use.  The bits are walked inline, not
+    # through _bits, because this is the kernel's innermost loop.
     used = count = 0
-    for b in _bits(uncovered):
-        if not holders[b] & used:
+    while uncovered:
+        low = uncovered & -uncovered
+        h = holders[low.bit_length() - 1]
+        if not h & used:
             count += 1
-            used |= holders[b]
+            used |= h
+        uncovered ^= low
     return count
 
 
@@ -105,6 +111,8 @@ def _min_cover(
     """Minimum cover of the bits of ``universe`` by branch and bound: (size,
     sorted candidate indices), or None once every cover provably needs more
     than ``cap`` sets.  Every bit of ``universe`` must have a holder."""
+    if cap is not None and _packing_bound(universe, holders) > cap:
+        return None
     uncovered, greedy = universe, []
     while uncovered:
         best = max(range(len(cands)), key=lambda i: (cands[i] & uncovered).bit_count())

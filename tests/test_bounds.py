@@ -5,6 +5,7 @@ import pytest
 from compnum import (
     Graph,
     complete_graph,
+    complete_multipartite_graph,
     cycle_graph,
     edgeless_graph,
     general_bound,
@@ -13,6 +14,7 @@ from compnum import (
     opsut_vertex_bound,
     path_graph,
     random_graphs,
+    restricted_edge_cover_number,
     star_graph,
 )
 from oracles import brute_subset_term, brute_vertex_cover_number
@@ -176,3 +178,23 @@ class TestGeneralBound:
                 }
                 first_min = min(values, key=lambda s: (values[s], s))
                 assert (term.value, term.subset) == (values[first_min], first_min)
+
+    @pytest.mark.parametrize(
+        "g",
+        random_graphs(8, 0.3, 2012, 2)
+        + random_graphs(8, 0.5, 2012, 2)
+        + random_graphs(9, 0.5, 2012, 1)
+        + [cycle_graph(8), complete_multipartite_graph([3, 3, 2])],
+    )
+    def test_terms_match_a_literal_scan_where_the_cap_bites(self, g):
+        # from n = 8 up most subsets are rejected by the capped cover, so
+        # every term is checked against covering each subset in full
+        full = general_bound(g)
+        for term in full.terms:
+            values = {
+                subset: restricted_edge_cover_number(g, g.incident_edges(subset)) - term.m + 1
+                for subset in combinations(range(g.n), term.m)
+            }
+            first_min = min(values, key=lambda s: (values[s], s))
+            assert (term.value, term.subset) == (values[first_min], first_min)
+        assert general_bound(g, prune=True).general == full.general

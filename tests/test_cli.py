@@ -238,6 +238,14 @@ class TestGen:
             main(["gen", "--family", "cycle", "--params", "2"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("family", [["cycle", "--params", "5"], ["random", "--params", "5,0.5", "--seed", "7"]])
+    def test_negative_count_is_a_usage_error(self, capsys, family):
+        with pytest.raises(SystemExit) as info:
+            main(["gen", "--family", *family, "--count", "-2"])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--count must be nonnegative, got -2" in err
+
 
 class TestSurvey:
     def test_all_labeled_4_with_exact(self, capsys, tmp_path):
@@ -306,6 +314,14 @@ class TestSurvey:
         code, out, err = run_cli(capsys, "survey", "--all-labeled", "2", "--with-exact")
         assert code == 1 and out == ""
         assert "nonnegative" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_a_usage_error(self, capsys, jobs):
+        with pytest.raises(SystemExit) as info:
+            main(["survey", "--all-labeled", "2", "--jobs", jobs])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"--jobs must be positive, got {jobs}" in err
 
     def test_jsonl_mirrors_rows(self, capsys, tmp_path):
         src = tmp_path / "in.g6"

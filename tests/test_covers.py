@@ -125,6 +125,38 @@ class TestMinSetCover:
         assert found == (3, (0, 1, 2))
 
 
+class TestCoverCap:
+    # A cap only decides whether an answer is reported: the bound's subset
+    # scan and the realizer's residual covers rely on a capped search giving
+    # the uncapped (size, indices) whenever that size fits, witnesses included.
+    @staticmethod
+    def assert_caps_agree(cover):
+        full = cover(None)
+        for cap in range(-1, full[0] + 2):
+            assert cover(cap) == (None if full[0] > cap else full), cap
+
+    def test_clique_tables_of_small_graphs(self, graphs_up_to_3, graphs_4, graphs_5):
+        # every edge mask the subset scan asks for: the edges at some U
+        for g in graphs_up_to_3 + graphs_4 + graphs_5:
+            t = _Cliques(g)
+            masks = {0}
+            for v in range(g.n):
+                masks |= {edges | t.incident[v] for edges in masks}
+            for edges in masks:
+                self.assert_caps_agree(lambda cap: t.cover(edges, cap))
+
+    def test_random_instances(self):
+        rng = random.Random(2026)
+        for trial in range(200):
+            universe = range(rng.randrange(0, 13))
+            candidates = [
+                frozenset(e for e in universe if rng.random() < 0.35)
+                for _ in range(rng.randrange(1, 13))
+            ]
+            candidates[-1] |= set(universe) - frozenset().union(*candidates)
+            self.assert_caps_agree(lambda cap: min_cover(universe, candidates, cap))
+
+
 class TestCoverNumbers:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_complete_graphs_need_one_clique(self, n):
