@@ -239,6 +239,27 @@ class _Cliques:
         """Fewest cliques covering the edge mask, as _min_cover reports it."""
         return _min_cover(edges, self.edge_masks, self.edge_holders, cap)
 
+    def fits(self, edges: int, cap: int) -> bool:
+        """Whether at most ``cap`` cliques cover the edge mask, the same
+        answer as ``cover(edges, cap) is not None``.  Only existence is asked,
+        so there is no greedy start and the search stops at the first cover
+        within the cap; it branches as _min_cover does."""
+        masks, holders = self.edge_masks, self.edge_holders
+        touching = 0
+        for b in _bits(edges):
+            touching |= holders[b]
+
+        def search(uncovered: int, left: int) -> bool:
+            if _packing_bound(uncovered, holders) > left:
+                return False
+            if not uncovered:
+                return True
+            branch = min(_bits(uncovered), key=lambda b: holders[b].bit_count())
+            return any(search(uncovered & ~masks[i], left - 1) for i in _bits(holders[branch]))
+
+        # all the cliques touching the edges together cover them
+        return touching.bit_count() <= cap or search(edges, cap)
+
     def packing_bound(self, edges: int) -> int:
         return _packing_bound(edges, self.edge_holders)
 

@@ -136,6 +136,18 @@ def verify_realization(g: Graph, k: int, d: Digraph) -> Verification:
 # The maximal cliques of the prefix subgraph G[P] are read off the host's
 # (covers._Cliques.within).  The search state is two ints: the placed
 # vertices and the covered edges, as masks in the layout of covers._Cliques.
+#
+# Two tests cut a node whose subtree holds no realization.  The packing test
+# counts the feeder slots still open.  The tail inequality (Opsut 1982;
+# Roberts 1978) looks at the r unplaced vertices T, which every completion
+# puts last.  No feeder chosen so far touches T, and neither does the next
+# one, which lies inside the placed prefix.  So every edge at T must be
+# covered by the feeders of the other r - 1 positions or by the k added
+# vertices: cover(incident(T)) <= r - 1 + k, with the maximal cliques of G
+# as candidates.  The test reads only the placed mask, so it is memoized on
+# it.  Neither test changes the witness: each cuts only subtrees that hold no
+# realization, so the exploration meets the same first witness, in fewer
+# nodes.
 
 
 def find_realization(
@@ -155,6 +167,14 @@ def find_realization(
     t = _Cliques(g)
     cliques_of_prefix = functools.cache(t.within)
     residual_cover = functools.cache(functools.partial(t.cover, cap=k))
+
+    @functools.cache
+    def tail_fits(placed: int) -> bool:
+        unplaced = [v for v in range(n) if not placed >> v & 1]
+        edges = 0
+        for v in unplaced:
+            edges |= t.incident[v]
+        return t.fits(edges, len(unplaced) - 1 + k)
 
     nodes_left = [budget]
 
@@ -181,7 +201,7 @@ def find_realization(
             return None
         # Feeder cliques only arrive at positions 3..n; count those slots.
         slots = max(0, n - max(len(order), 2))
-        if slots + k < t.packing_bound(all_edges & ~covered):
+        if slots + k < t.packing_bound(all_edges & ~covered) or not tail_fits(placed):
             dead.add(key)
             return None
         feeders = cliques_of_prefix(placed) if len(order) >= 2 else [((), 0)]

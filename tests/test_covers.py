@@ -157,6 +157,34 @@ class TestCoverCap:
             self.assert_caps_agree(lambda cap: min_cover(universe, candidates, cap))
 
 
+class TestFits:
+    # fits is the existence half of a capped cover; the realizer's tail test
+    # relies on it answering exactly as a capped search would.
+    @staticmethod
+    def assert_fits_agrees(t, edges):
+        size = t.cover(edges)[0]
+        for cap in range(-1, size + 2):
+            assert t.fits(edges, cap) == (t.cover(edges, cap) is not None), cap
+
+    def test_clique_tables_of_small_graphs(self, graphs_up_to_3, graphs_4, graphs_5):
+        # every edge mask the realizer asks for: the edges at some vertex set
+        for g in graphs_up_to_3 + graphs_4 + graphs_5:
+            t = _Cliques(g)
+            masks = {0}
+            for v in range(g.n):
+                masks |= {edges | t.incident[v] for edges in masks}
+            for edges in masks:
+                self.assert_fits_agrees(t, edges)
+
+    def test_random_instances(self):
+        rng = random.Random(2026)
+        for trial in range(200):
+            g = random_graphs(rng.randrange(2, 11), rng.choice([0.3, 0.5, 0.7]), trial, 1)[0]
+            t = _Cliques(g)
+            edges = rng.getrandbits(g.edge_count)
+            self.assert_fits_agrees(t, edges)
+
+
 class TestCoverNumbers:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_complete_graphs_need_one_clique(self, n):

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from compnum import (
@@ -18,10 +19,13 @@ from compnum import (
     find_realization,
     general_bound,
     parse_arc_list,
+    parse_graph6,
     path_graph,
     random_graphs,
     verify_realization,
 )
+from compnum.covers import _Cliques
+from oracles import has_triangle, is_connected
 
 
 class TestCompetitionGraph:
@@ -159,16 +163,16 @@ class TestFindRealization:
         [
             (cycle_graph(5), 1, 1, None, None),
             (cycle_graph(5), 2, 9, "0 2|0 5|1 2|1 3|2 3|2 4|3 4|3 6|4 5|4 6", (0, 1, 2, 3, 4, 5, 6)),
-            (complete_multipartite_graph([3, 3, 2]), 3, 9733, None, None),
+            (complete_multipartite_graph([3, 3, 2]), 3, 91, None, None),
             (
-                complete_multipartite_graph([3, 3, 2]), 4, 5214,
+                complete_multipartite_graph([3, 3, 2]), 4, 549,
                 "0 2|0 3|0 4|0 8|1 5|1 6|1 9|2 7|2 10|2 11|3 4|3 5|3 10|4 2|4 6|4 11|"
                 "5 7|5 8|5 9|6 2|6 5|6 7|7 8|7 9|7 10|7 11",
                 (0, 1, 3, 4, 6, 2, 5, 7, 8, 9, 10, 11),
             ),
-            (random_graphs(8, 0.5, 11, 1)[0], 0, 514, None, None),
+            (random_graphs(8, 0.5, 11, 1)[0], 0, 61, None, None),
             (
-                random_graphs(8, 0.5, 11, 1)[0], 1, 315,
+                random_graphs(8, 0.5, 11, 1)[0], 1, 79,
                 "0 3|0 4|0 6|1 2|1 4|1 6|2 8|3 5|4 3|4 7|5 2|5 8|6 2|6 5|6 7|7 2|7 3|7 5",
                 (0, 1, 4, 6, 7, 3, 5, 2, 8),
             ),
@@ -183,6 +187,32 @@ class TestFindRealization:
             assert w.ordering == ordering
         with pytest.raises(BudgetExceededError):
             find_realization(g, k, budget=nodes - 1)
+
+
+    def test_tail_pruning_keeps_every_answer_and_witness(
+        self, graphs_up_to_3, graphs_4, graphs_5, monkeypatch
+    ):
+        # The tail inequality may only cut subtrees without a realization, so
+        # the search must meet the same first witness, or none, with the test
+        # switched off.  Every k from 0 to k(G) is compared.
+        six = [Graph(6, g.edges()) for g in nx.graph_atlas_g() if g.number_of_nodes() == 6]
+        assert len(six) == 156  # one graph per isomorphism class
+        cases = []
+        for g in graphs_up_to_3 + graphs_4 + graphs_5 + six:
+            k = 0
+            while True:
+                cases.append((g, k, find_realization(g, k)))
+                if cases[-1][2] is not None:
+                    break
+                k += 1
+        hard = parse_graph6("KEcF`]jd_OJ@")
+        cases.append((hard, 1, find_realization(hard, 1, budget=3000)))
+
+        monkeypatch.setattr(_Cliques, "fits", lambda self, edges, cap: True)
+        with pytest.raises(BudgetExceededError):  # the test is really off
+            find_realization(hard, 1, budget=3000)
+        for g, k, pruned in cases:
+            assert find_realization(g, k) == pruned, (g.edges(), k)
 
 
 class TestCompetitionNumber:
@@ -209,6 +239,38 @@ class TestCompetitionNumber:
         assert general_bound(g).general >= 1
         k, w = competition_number(g)
         assert k == 1 and verify_realization(g, 1, w.digraph)
+
+    def test_triangle_free_formula_beyond_brute_force(self):
+        # A connected triangle-free graph on n >= 2 vertices has k = |E| - |V|
+        # + 2 (Roberts 1978); from k = 0, every level below it is refuted.
+        def q3() -> Graph:
+            return Graph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b])
+
+        graphs = [
+            complete_multipartite_graph([3, 3]),
+            complete_multipartite_graph([3, 4]),
+            complete_multipartite_graph([4, 4]),
+            q3(),
+            cycle_graph(9),
+        ]
+        rng = random.Random(1978)
+        while len(graphs) < 45:
+            n = rng.randrange(4, 12)
+            adj = [set() for _ in range(n)]
+            for v in range(1, n):  # a random spanning tree keeps it connected
+                u = rng.randrange(v)
+                adj[u].add(v)
+                adj[v].add(u)
+            for u, v in combinations(range(n), 2):
+                if v not in adj[u] and not adj[u] & adj[v] and rng.random() < 0.3:
+                    adj[u].add(v)
+                    adj[v].add(u)
+            graphs.append(Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v]))
+        for g in graphs:
+            assert is_connected(g) and not has_triangle(g)
+            k, w = competition_number(g, start_k=0)
+            assert k == g.edge_count - g.n + 2, g.edges()
+            assert verify_realization(g, k, w.digraph)
 
     def test_start_k_is_a_starting_point(self):
         assert competition_number(cycle_graph(4), start_k=0)[0] == 2
