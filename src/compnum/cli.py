@@ -326,7 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exact competition number with witness")
     p.add_argument("--witness", metavar="PATH", help="write the witness digraph (.dot for DOT, else arc list)")
-    p.add_argument("--start-k", type=int, default=None, dest="start_k")
+    p.add_argument(
+        "--start-k", type=int, default=None, dest="start_k", metavar="K",
+        help="first k to try; trusted as a proven lower bound, so a K above the competition number is printed as k",
+    )
     p.add_argument("--budget", type=int, default=None, help="search node cap")
     p.add_argument("--json", action="store_true")
     p.add_argument("graph6")

@@ -54,12 +54,13 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
 # One bitmask kernel carries every cover search in the package.  Element i of
 # the sorted universe is bit i (for a graph's cliques, see ``_Cliques``), a
 # candidate is the mask of its elements, and ``holders[b]`` is the mask of the
-# candidates holding bit b.  The search order is fixed so that answers and
-# witnesses are deterministic: the greedy start breaks ties on the lowest
-# index, and the search branches on the lowest uncovered bit among those with
-# the fewest holders, trying its holders in ascending order.  A capped search
-# whose packing bound already exceeds the cap answers None before the greedy
-# start, since no cover within the cap can exist.
+# candidates holding bit b.  Every query is one branch and bound, ``_search``,
+# in a fixed order: it branches on the lowest uncovered bit among those with
+# the fewest holders, trying its holders in ascending order.  A cover is
+# recorded as soon as the residual is empty, before any barrier check, so an
+# equal-size later sibling replaces the recorded cover.  Witness bytes depend
+# on that rule, and on a minimum query never stopping early, not even at the
+# packing bound.  Its greedy start breaks ties on the lowest index.
 
 
 class CoverInstance:
@@ -105,63 +106,70 @@ def _packing_bound(uncovered: int, holders: Sequence[int]) -> int:
     return count
 
 
+def _search(
+    universe: int, cands: Sequence[int], holders: Sequence[int], barrier: int, goal: int
+) -> tuple[int, ...] | None:
+    """Search the covers of ``universe`` with fewer than ``barrier`` sets, each
+    one met becoming the barrier, until one has at most ``goal`` sets.  The
+    last cover met, as sorted candidate indices, or None."""
+    found = None
+
+    def search(uncovered: int, chosen: tuple[int, ...]) -> bool:
+        nonlocal found, barrier
+        if not uncovered:
+            found, barrier = tuple(sorted(chosen)), len(chosen)
+            return barrier <= goal
+        if len(chosen) + _packing_bound(uncovered, holders) >= barrier:
+            return False
+        branch = min(_bits(uncovered), key=lambda b: holders[b].bit_count())
+        for i in _bits(holders[branch]):
+            if search(uncovered & ~cands[i], chosen + (i,)):
+                return True
+        return False
+
+    search(universe, ())
+    return found
+
+
 def _min_cover(
     universe: int, cands: Sequence[int], holders: Sequence[int], cap: int | None = None
 ) -> tuple[int, tuple[int, ...]] | None:
-    """Minimum cover of the bits of ``universe`` by branch and bound: (size,
-    sorted candidate indices), or None once every cover provably needs more
-    than ``cap`` sets.  Every bit of ``universe`` must have a holder."""
+    """Minimum cover of the bits of ``universe``: (size, sorted candidate
+    indices), or None once every cover provably needs more than ``cap`` sets.
+    Every bit of ``universe`` must have a holder."""
     if cap is not None and _packing_bound(universe, holders) > cap:
         return None
-    uncovered, greedy = universe, []
-    while uncovered:
+    # greedy never picks a candidate twice, so uncapped it stays below this
+    barrier = len(cands) + 1 if cap is None else cap + 1
+    uncovered, greedy, found = universe, [], None
+    while uncovered and len(greedy) < barrier:
         best = max(range(len(cands)), key=lambda i: (cands[i] & uncovered).bit_count())
         greedy.append(best)
         uncovered &= ~cands[best]
-    found = tuple(sorted(greedy)) if cap is None or len(greedy) <= cap else None
-    barrier = len(greedy) if cap is None else min(len(greedy), cap + 1)
-
-    def search(uncovered: int, chosen: list[int]) -> None:
-        nonlocal found, barrier
-        if not uncovered:
-            # the bound below lets only strictly smaller covers reach here
-            found, barrier = tuple(sorted(chosen)), len(chosen)
-            return
-        if len(chosen) + _packing_bound(uncovered, holders) >= barrier:
-            return
-        branch = min(_bits(uncovered), key=lambda b: holders[b].bit_count())
-        for i in _bits(holders[branch]):
-            chosen.append(i)
-            search(uncovered & ~cands[i], chosen)
-            chosen.pop()
-
-    search(universe, [])
+    if not uncovered and len(greedy) < barrier:
+        found, barrier = tuple(sorted(greedy)), len(greedy)
+    better = _search(universe, cands, holders, barrier, -1)
+    found = found if better is None else better
     return None if found is None else (len(found), found)
 
 
 def _certified_cover(
     universe: int, cands: Sequence[int], holders: Sequence[int]
 ) -> tuple[int, tuple[int, ...]]:
-    """Minimum cover size with the lexicographically smallest optimal index set."""
+    """Minimum cover size with the lexicographically smallest optimal index
+    set: each candidate in turn joins when the ones after it can finish a
+    minimum cover."""
     size, _ = _min_cover(universe, cands, holders)
-    suffix = [0] * (len(cands) + 1)
-    for i in range(len(cands) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | cands[i]
-
-    def walk(start: int, uncovered: int, chosen: tuple[int, ...]) -> tuple[int, ...] | None:
-        if not uncovered:
-            return chosen
-        if uncovered & ~suffix[start] or len(chosen) + _packing_bound(uncovered, holders) > size:
-            return None
-        for i in range(start, len(cands)):
-            # A set adding nothing new can never appear in a minimum cover.
-            if cands[i] & uncovered:
-                found = walk(i + 1, uncovered & ~cands[i], chosen + (i,))
-                if found is not None:
-                    return found
-        return None
-
-    return size, walk(0, universe, ())
+    uncovered, chosen = universe, []
+    for i, c in enumerate(cands):
+        # a set adding nothing new is never part of a minimum cover
+        if not c & uncovered:
+            continue
+        rest, left, later = uncovered & ~c, size - len(chosen) - 1, -2 << i
+        if _search(rest, cands, [h & later for h in holders], left + 1, left) is not None:
+            uncovered = rest
+            chosen.append(i)
+    return size, tuple(chosen)
 
 
 def _index(
@@ -240,25 +248,17 @@ class _Cliques:
         return _min_cover(edges, self.edge_masks, self.edge_holders, cap)
 
     def fits(self, edges: int, cap: int) -> bool:
-        """Whether at most ``cap`` cliques cover the edge mask, the same
-        answer as ``cover(edges, cap) is not None``.  Only existence is asked,
-        so there is no greedy start and the search stops at the first cover
-        within the cap; it branches as _min_cover does."""
-        masks, holders = self.edge_masks, self.edge_holders
+        """Whether at most ``cap`` cliques cover the edge mask, as ``cover(edges,
+        cap) is not None`` answers, but with no greedy start and stopping at the
+        first cover within the cap."""
         touching = 0
         for b in _bits(edges):
-            touching |= holders[b]
-
-        def search(uncovered: int, left: int) -> bool:
-            if _packing_bound(uncovered, holders) > left:
-                return False
-            if not uncovered:
-                return True
-            branch = min(_bits(uncovered), key=lambda b: holders[b].bit_count())
-            return any(search(uncovered & ~masks[i], left - 1) for i in _bits(holders[branch]))
-
+            touching |= self.edge_holders[b]
         # all the cliques touching the edges together cover them
-        return touching.bit_count() <= cap or search(edges, cap)
+        if touching.bit_count() <= cap:
+            return True
+        found = _search(edges, self.edge_masks, self.edge_holders, cap + 1, cap)
+        return found is not None and len(found) <= cap
 
     def packing_bound(self, edges: int) -> int:
         return _packing_bound(edges, self.edge_holders)

@@ -256,6 +256,9 @@ def competition_number(
     Iterative deepening: k starts at max(0, general lower bound) unless
     start_k is given, and grows until a realization exists.  Termination is
     guaranteed because the edge clique cover number always suffices.
+    ``start_k`` is trusted as a proven lower bound: the levels below it are
+    never checked, so a start_k above the competition number is returned
+    as k (with a witness at that k).
     ``budget`` caps search nodes per feasibility level; on exhaustion the
     raised BudgetExceededError carries the smallest k not yet ruled out,
     everything below it having been proven infeasible.
