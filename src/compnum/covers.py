@@ -10,7 +10,7 @@ alike.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graphs import Graph
 
@@ -53,14 +53,22 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
 #
 # One bitmask kernel carries every cover search in the package.  Element i of
 # the sorted universe is bit i (for a graph's cliques, see ``_Cliques``), a
-# candidate is the mask of its elements, and ``holders[b]`` is the mask of the
-# candidates holding bit b.  Every query is one branch and bound, ``_search``,
-# in a fixed order: it branches on the lowest uncovered bit among those with
-# the fewest holders, trying its holders in ascending order.  A cover is
-# recorded as soon as the residual is empty, before any barrier check, so an
-# equal-size later sibling replaces the recorded cover.  Witness bytes depend
-# on that rule, and on a minimum query never stopping early, not even at the
-# packing bound.  Its greedy start breaks ties on the lowest index.
+# candidate is the mask of its elements, and a ``_Family`` holds, per bit b,
+# the mask ``holders[b]`` of the candidates holding b and the mask
+# ``shadows[b]`` of b and every element sharing a candidate with b.  Every
+# query is one branch and bound, ``_search``, in a fixed order: it branches on
+# the lowest uncovered bit among those with the fewest holders, trying its
+# holders in ascending order.  A cover is recorded as soon as the residual is
+# empty, before any barrier check, so an equal-size later sibling replaces the
+# recorded cover.  Witness bytes depend on that rule, and on a minimum query
+# never stopping early, not even at the packing bound.  Its greedy start
+# breaks ties on the lowest index.
+#
+# The packing bound counts elements pairwise without a common candidate, so
+# no cover can take two of them with one set.  Walking the elements upwards,
+# an element is skipped iff a candidate already used holds it, that is iff it
+# lies in the shadow of an element already counted; so clearing each counted
+# element's shadow counts exactly the same elements, one step per count.
 
 
 class CoverInstance:
@@ -83,35 +91,43 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _holders(cands: Sequence[int], width: int) -> list[int]:
+class _Family(NamedTuple):
+    """Candidate masks laid out for the kernel, with ``tiers``, the element
+    bits grouped by holder count, fewest holders first."""
+
+    cands: Sequence[int]
+    holders: Sequence[int]
+    shadows: Sequence[int]
+    tiers: Sequence[int]
+
+
+def _family(cands: Sequence[int], width: int) -> _Family:
     holders = [0] * width
+    shadows = [1 << b for b in range(width)]
     for i, c in enumerate(cands):
         for b in _bits(c):
             holders[b] |= 1 << i
-    return holders
+            shadows[b] |= c
+    tiers: dict[int, int] = {}
+    for b, h in enumerate(holders):
+        tiers[h.bit_count()] = tiers.get(h.bit_count(), 0) | 1 << b
+    return _Family(cands, holders, shadows, [tiers[count] for count in sorted(tiers)])
 
 
-def _packing_bound(uncovered: int, holders: Sequence[int]) -> int:
-    # Count elements no single candidate can pair up: a lower bound on the
-    # number of sets any cover must use.  The bits are walked inline, not
-    # through _bits, because this is the kernel's innermost loop.
-    used = count = 0
+def _packing_bound(uncovered: int, shadows: Sequence[int]) -> int:
+    # A lower bound on the number of sets any cover must use (see above).
+    count = 0
     while uncovered:
-        low = uncovered & -uncovered
-        h = holders[low.bit_length() - 1]
-        if not h & used:
-            count += 1
-            used |= h
-        uncovered ^= low
+        uncovered &= ~shadows[(uncovered & -uncovered).bit_length() - 1]
+        count += 1
     return count
 
 
-def _search(
-    universe: int, cands: Sequence[int], holders: Sequence[int], barrier: int, goal: int
-) -> tuple[int, ...] | None:
+def _search(universe: int, family: _Family, barrier: int, goal: int) -> tuple[int, ...] | None:
     """Search the covers of ``universe`` with fewer than ``barrier`` sets, each
     one met becoming the barrier, until one has at most ``goal`` sets.  The
     last cover met, as sorted candidate indices, or None."""
+    cands, holders, shadows, tiers = family
     found = None
 
     def search(uncovered: int, chosen: tuple[int, ...]) -> bool:
@@ -119,10 +135,13 @@ def _search(
         if not uncovered:
             found, barrier = tuple(sorted(chosen)), len(chosen)
             return barrier <= goal
-        if len(chosen) + _packing_bound(uncovered, holders) >= barrier:
+        if len(chosen) + _packing_bound(uncovered, shadows) >= barrier:
             return False
-        branch = min(_bits(uncovered), key=lambda b: holders[b].bit_count())
-        for i in _bits(holders[branch]):
+        for tier in tiers:
+            if tier & uncovered:
+                break
+        tier &= uncovered
+        for i in _bits(holders[(tier & -tier).bit_length() - 1]):
             if search(uncovered & ~cands[i], chosen + (i,)):
                 return True
         return False
@@ -132,41 +151,49 @@ def _search(
 
 
 def _min_cover(
-    universe: int, cands: Sequence[int], holders: Sequence[int], cap: int | None = None
+    universe: int, family: _Family, cap: int | None = None
 ) -> tuple[int, tuple[int, ...]] | None:
     """Minimum cover of the bits of ``universe``: (size, sorted candidate
     indices), or None once every cover provably needs more than ``cap`` sets.
     Every bit of ``universe`` must have a holder."""
-    if cap is not None and _packing_bound(universe, holders) > cap:
+    if cap is not None and _packing_bound(universe, family.shadows) > cap:
         return None
+    cands = family.cands
     # greedy never picks a candidate twice, so uncapped it stays below this
     barrier = len(cands) + 1 if cap is None else cap + 1
     uncovered, greedy, found = universe, [], None
     while uncovered and len(greedy) < barrier:
-        best = max(range(len(cands)), key=lambda i: (cands[i] & uncovered).bit_count())
+        best = gain = 0
+        for i, c in enumerate(cands):
+            new = (c & uncovered).bit_count()
+            if new > gain:
+                best, gain = i, new
         greedy.append(best)
         uncovered &= ~cands[best]
     if not uncovered and len(greedy) < barrier:
         found, barrier = tuple(sorted(greedy)), len(greedy)
-    better = _search(universe, cands, holders, barrier, -1)
+    better = _search(universe, family, barrier, -1)
     found = found if better is None else better
     return None if found is None else (len(found), found)
 
 
-def _certified_cover(
-    universe: int, cands: Sequence[int], holders: Sequence[int]
-) -> tuple[int, tuple[int, ...]]:
+def _certified_cover(universe: int, family: _Family) -> tuple[int, tuple[int, ...]]:
     """Minimum cover size with the lexicographically smallest optimal index
     set: each candidate in turn joins when the ones after it can finish a
     minimum cover."""
-    size, _ = _min_cover(universe, cands, holders)
+    size, _ = _min_cover(universe, family)
     uncovered, chosen = universe, []
-    for i, c in enumerate(cands):
+    for i, c in enumerate(family.cands):
         # a set adding nothing new is never part of a minimum cover
         if not c & uncovered:
             continue
         rest, left, later = uncovered & ~c, size - len(chosen) - 1, -2 << i
-        if _search(rest, cands, [h & later for h in holders], left + 1, left) is not None:
+        # The later candidates keep the whole family's shadows and tiers: a
+        # bound over all the candidates bounds any fewer, and the branching
+        # order moves the effort, not the answer.  Every element of rest has
+        # a later holder, since a minimum cover finishing from i on exists.
+        masked = family._replace(holders=[h & later for h in family.holders])
+        if _search(rest, masked, left + 1, left) is not None:
             uncovered = rest
             chosen.append(i)
     return size, tuple(chosen)
@@ -174,18 +201,16 @@ def _certified_cover(
 
 def _index(
     universe: Iterable[Hashable], candidates: Iterable[Iterable[Hashable]]
-) -> tuple[int, list[int], list[int]]:
-    """Translate a cover instance onto the kernel: (universe mask, candidate
-    masks, holders), raising InfeasibleCoverError for an element no candidate
-    holds."""
+) -> tuple[int, _Family]:
+    """Translate a cover instance onto the kernel: (universe mask, family),
+    raising InfeasibleCoverError for an element no candidate holds."""
     elements = sorted(frozenset(universe))
     bit = {e: 1 << i for i, e in enumerate(elements)}
-    cands = [sum(bit.get(e, 0) for e in frozenset(c)) for c in candidates]
-    holders = _holders(cands, len(elements))
-    for b, h in enumerate(holders):
+    family = _family([sum(bit.get(e, 0) for e in frozenset(c)) for c in candidates], len(elements))
+    for b, h in enumerate(family.holders):
         if not h:
             raise InfeasibleCoverError(elements[b])
-    return (1 << len(elements)) - 1, cands, holders
+    return (1 << len(elements)) - 1, family
 
 
 def min_cover(
@@ -221,7 +246,8 @@ class _Cliques:
 
     Vertex v is bit v and edge i of ``g.edges()`` is bit i; no other code
     knows this.  ``cliques[j]`` has the masks ``vertex_masks[j]`` and
-    ``edge_masks[j]``, ``bit`` maps an edge to its bit, and ``incident[v]``
+    ``edge_masks[j]``, ``vertex_family`` and ``edge_family`` lay them out
+    for the kernel, ``bit`` maps an edge to its bit, and ``incident[v]``
     masks the edges at v.
 
     Induced subgraphs G[S] need no second enumeration.  Every trace C & S is
@@ -236,8 +262,8 @@ class _Cliques:
         self.bit = {e: 1 << i for i, e in enumerate(edges)}
         self.vertex_masks = [sum(1 << v for v in c) for c in self.cliques]
         self.edge_masks = [sum(self.bit[e] for e in combinations(sorted(c), 2)) for c in self.cliques]
-        self.vertex_holders = _holders(self.vertex_masks, g.n)
-        self.edge_holders = _holders(self.edge_masks, len(edges))
+        self.vertex_family = _family(self.vertex_masks, g.n)
+        self.edge_family = _family(self.edge_masks, len(edges))
         self.incident = [0] * g.n
         for i, (u, v) in enumerate(edges):
             self.incident[u] |= 1 << i
@@ -245,7 +271,7 @@ class _Cliques:
 
     def cover(self, edges: int, cap: int | None = None) -> tuple[int, tuple[int, ...]] | None:
         """Fewest cliques covering the edge mask, as _min_cover reports it."""
-        return _min_cover(edges, self.edge_masks, self.edge_holders, cap)
+        return _min_cover(edges, self.edge_family, cap)
 
     def fits(self, edges: int, cap: int) -> bool:
         """Whether at most ``cap`` cliques cover the edge mask, as ``cover(edges,
@@ -253,19 +279,19 @@ class _Cliques:
         first cover within the cap."""
         touching = 0
         for b in _bits(edges):
-            touching |= self.edge_holders[b]
+            touching |= self.edge_family.holders[b]
         # all the cliques touching the edges together cover them
         if touching.bit_count() <= cap:
             return True
-        found = _search(edges, self.edge_masks, self.edge_holders, cap + 1, cap)
+        found = _search(edges, self.edge_family, cap + 1, cap)
         return found is not None and len(found) <= cap
 
     def packing_bound(self, edges: int) -> int:
-        return _packing_bound(edges, self.edge_holders)
+        return _packing_bound(edges, self.edge_family.shadows)
 
     def vertex_cover_number(self, vertices: int) -> int:
         """Fewest cliques of G[S] covering S, for the vertex mask of S."""
-        return _min_cover(vertices, self.vertex_masks, self.vertex_holders)[0]
+        return _min_cover(vertices, self.vertex_family)[0]
 
     def within(self, vertices: int) -> list[tuple[tuple[int, ...], int]]:
         """The maximal cliques of G[S] for the vertex mask of S, as (members,
@@ -289,7 +315,7 @@ def edge_clique_cover(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Minimum edge clique cover, reported as (size, indices into
     maximal_cliques(g))."""
     t = _Cliques(g)
-    return _certified_cover((1 << g.edge_count) - 1, t.edge_masks, t.edge_holders)
+    return _certified_cover((1 << g.edge_count) - 1, t.edge_family)
 
 
 def vertex_clique_cover_number(g: Graph) -> int:

@@ -68,6 +68,20 @@ def brute_lex_min_cover(universe, candidates) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("universe not coverable")
 
 
+def element_packing_bound(universe, candidates) -> int:
+    """The cover kernel's packing bound, walked element by element: in sorted
+    order, count each element no candidate used so far holds, then use every
+    candidate holding it.  No two counted elements share a candidate, so any
+    cover needs at least this many sets."""
+    used, count = set(), 0
+    for e in sorted(universe):
+        holders = {i for i, c in enumerate(candidates) if e in c}
+        if not holders & used:
+            count += 1
+            used |= holders
+    return count
+
+
 def brute_edge_cover_number(g: Graph, target_edges=None) -> int:
     """Minimum number of cliques covering the target edges (all edges when
     target_edges is None), over all cliques of g."""

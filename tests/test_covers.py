@@ -21,13 +21,14 @@ from compnum import (
     restricted_edge_cover_number,
     vertex_clique_cover_number,
 )
-from compnum.covers import _Cliques
+from compnum.covers import _Cliques, _family, _packing_bound
 from oracles import (
     adjacency_masks,
     brute_edge_cover_number,
     brute_lex_min_cover,
     brute_min_cover,
     brute_vertex_cover_number,
+    element_packing_bound,
     has_triangle,
 )
 
@@ -156,6 +157,62 @@ class TestCoverCap:
             ]
             candidates[-1] |= set(universe) - frozenset().union(*candidates)
             self.assert_caps_agree(lambda cap: min_cover(universe, candidates, cap))
+
+
+class TestPackingBound:
+    # The kernel clears each counted element's shadow instead of walking every
+    # element; both must count the same elements.  An element no candidate
+    # holds must still shadow itself, or the walk never gets past it.
+    @staticmethod
+    def elements(mask):
+        return {b for b in range(mask.bit_length()) if mask >> b & 1}
+
+    def assert_matches(self, family, masks):
+        for b, shadow in enumerate(family.shadows):
+            assert shadow >> b & 1, b
+        candidates = [self.elements(c) for c in family.cands]
+        for mask in masks:
+            expected = element_packing_bound(self.elements(mask), candidates)
+            assert _packing_bound(mask, family.shadows) == expected, mask
+
+    def test_clique_tables_of_small_graphs(self, graphs_up_to_3, graphs_4, graphs_5):
+        for g in graphs_up_to_3 + graphs_4 + graphs_5:
+            t = _Cliques(g)
+            edge_masks = {0}
+            for v in range(g.n):
+                edge_masks |= {edges | t.incident[v] for edges in edge_masks}
+            self.assert_matches(t.edge_family, edge_masks)
+            self.assert_matches(t.vertex_family, range(1 << g.n))
+
+    def test_random_instances(self):
+        rng = random.Random(8)
+        for trial in range(300):
+            width = rng.randrange(0, 14)
+            cands = [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(rng.randrange(1, 12))]
+            # odd trials give every element a holder; about half the others
+            # leave some element with none, as a masked family can
+            if trial % 2:
+                held = 0
+                for c in cands:
+                    held |= c
+                cands[-1] |= ((1 << width) - 1) & ~held
+            masks = [(1 << width) - 1] + [rng.getrandbits(width) for _ in range(5)]
+            self.assert_matches(_family(cands, width), masks)
+
+    def test_whole_family_bounds_the_later_candidates(self):
+        # the certified cover's searches over the candidates after i keep the
+        # whole family's shadows: the bound must stay below their cover size
+        rng = random.Random(9)
+        for trial in range(200):
+            width = rng.randrange(1, 10)
+            cands = [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(rng.randrange(2, 9))]
+            family = _family(cands, width)
+            for i in range(len(cands)):
+                later = [self.elements(c) for c in cands[i + 1:]]
+                rest = rng.getrandbits(width)
+                size = brute_min_cover(self.elements(rest), later)
+                if size is not None:
+                    assert _packing_bound(rest, family.shadows) <= size
 
 
 class TestChosenCovers:
