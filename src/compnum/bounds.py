@@ -25,9 +25,12 @@ the graph's own cliques too (covers._Cliques says why that is the same).
 The m = 1 term of the general bound equals opsut_vertex_bound, and for
 n >= 2 the m = n-1 term equals opsut_edge_bound, so the general bound
 dominates both; the test suite checks these identities exhaustively on
-small-graph corpora.  The two classical bounds are computed on their own, not
-read off the terms, so that those identities stay real checks; general_bound
-only lets them share its clique table.
+small-graph corpora.  The report reads its edge bound off the m = n term:
+the only n-subset is V itself, scanned uncapped and in full even when pruned,
+so that term is exactly theta_e - n + 1 and the edge bound is one more.  Its
+vertex bound is counted on its own, on the shared clique table.  The public
+opsut_edge_bound and opsut_vertex_bound compute their own covers, so both
+identities, and the report's edge bound, stay independent checks.
 
 Bounds are reported unclamped and can be negative (for complete graphs the
 m-th term is 2 - m).  Callers compare against competition numbers with
@@ -83,11 +86,7 @@ def _require_vertices(g: Graph) -> None:
 def opsut_edge_bound(g: Graph) -> int:
     """Edge-cover lower bound: edge clique cover number - n + 2, unclamped."""
     _require_vertices(g)
-    return _opsut_edge(g, _Cliques(g))
-
-
-def _opsut_edge(g: Graph, t: _Cliques) -> int:
-    return t.cover((1 << g.edge_count) - 1)[0] - g.n + 2
+    return _Cliques(g).cover((1 << g.edge_count) - 1)[0] - g.n + 2
 
 
 def opsut_vertex_bound(g: Graph) -> int:
@@ -155,7 +154,7 @@ def general_bound(g: Graph, prune: bool = False) -> BoundReport:
             best = term.value if best is None else max(best, term.value)
     return BoundReport(
         n=g.n,
-        opsut_edge=_opsut_edge(g, t),
+        opsut_edge=terms[-1].value + 1,
         opsut_vertex=_opsut_vertex(g, t),
         terms=tuple(terms),
         general=best,

@@ -20,6 +20,7 @@ import time
 from .bounds import general_bound, general_bound_term, opsut_edge_bound, opsut_vertex_bound
 from .graphs import (
     GENERATOR_FAMILIES,
+    MAX_ENUMERATION_VERTICES,
     Graph,
     GraphParseError,
     _canonical_key,
@@ -180,11 +181,11 @@ def cmd_competition(args, parser) -> int:
 # -- survey -------------------------------------------------------------------
 
 
-# Survey row values by isomorphism class: {(canonical key, with_exact): the
-# columns theta_e..k_exact}.  Every one of them is an invariant, so a row of
-# an isomorphic input reuses them.  cmd_survey clears it; each --jobs worker
-# keeps its own.
-_ROW_MEMO: dict[tuple[tuple[int, int], bool], dict] = {}
+# Survey row values by isomorphism class: {canonical key: the columns
+# theta_e..k_exact}.  Every one of them is an invariant, so a row of an
+# isomorphic input reuses them.  cmd_survey clears it, so --with-exact is
+# fixed for its lifetime; each --jobs worker keeps its own.
+_ROW_MEMO: dict[tuple[int, int], dict] = {}
 
 
 def _survey_row(task: tuple[str, bool, int | None]) -> dict:
@@ -197,11 +198,11 @@ def _survey_row(task: tuple[str, bool, int | None]) -> dict:
     # Under a node budget the solver's node count, and so whether k_exact
     # is "?", depends on the labeling: such rows are solved as given.
     key = _canonical_key(g) if budget is None or not with_exact else None
-    values = _ROW_MEMO.get((key, with_exact))
+    values = _ROW_MEMO.get(key)
     if values is None:
         values = _row_values(g, with_exact, budget)
         if key is not None:
-            _ROW_MEMO[key, with_exact] = values
+            _ROW_MEMO[key] = values
     millis = int((time.perf_counter() - started) * 1000)
     return {"graph6": text, "n": g.n, "edges": g.edge_count, **values, "millis": millis}
 
@@ -230,8 +231,8 @@ def cmd_survey(args, parser) -> int:
     if args.jobs < 1:
         parser.error(f"--jobs must be positive, got {args.jobs}")
     if args.all_labeled is not None:
-        if not 0 <= args.all_labeled <= 6:
-            parser.error("--all-labeled supports 0..6 vertices")
+        if not 0 <= args.all_labeled <= MAX_ENUMERATION_VERTICES:
+            parser.error(f"--all-labeled supports 0..{MAX_ENUMERATION_VERTICES} vertices")
         lines = [write_graph6(g) for g in all_labeled_graphs(args.all_labeled)]
     else:
         with open(args.input) as fh:

@@ -277,14 +277,16 @@ class _Cliques:
         """Whether at most ``cap`` cliques cover the edge mask, as ``cover(edges,
         cap) is not None`` answers, but with no greedy start and stopping at the
         first cover within the cap."""
-        touching = 0
-        for b in _bits(edges):
-            touching |= self.edge_family.holders[b]
-        # all the cliques touching the edges together cover them
-        if touching.bit_count() <= cap:
-            return True
         found = _search(edges, self.edge_family, cap + 1, cap)
+        # the search records the empty cover of an empty mask even for cap -1
         return found is not None and len(found) <= cap
+
+    def edges_at(self, vertices: int) -> int:
+        """The mask of the edges with an end in the vertex mask."""
+        edges = 0
+        for v in _bits(vertices):
+            edges |= self.incident[v]
+        return edges
 
     def packing_bound(self, edges: int) -> int:
         return _packing_bound(edges, self.edge_family.shadows)
@@ -296,10 +298,7 @@ class _Cliques:
     def within(self, vertices: int) -> list[tuple[tuple[int, ...], int]]:
         """The maximal cliques of G[S] for the vertex mask of S, as (members,
         edge mask), sorted by members as maximal_cliques(G[S]) sorts them."""
-        leaving = 0
-        for v, edges in enumerate(self.incident):
-            if not vertices >> v & 1:
-                leaving |= edges
+        leaving = self.edges_at(((1 << len(self.incident)) - 1) & ~vertices)
         pairs = zip(self.vertex_masks, self.edge_masks)
         traces = {c & vertices: e & ~leaving for c, e in pairs if c & vertices}
         maximal = [t for t in traces if not any(t != s and t & s == t for s in traces)]

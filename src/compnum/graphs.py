@@ -485,15 +485,9 @@ def star_graph(leaves: int) -> Graph:
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
     """Uniform G(n, p).  Each pair (i, j), i < j, is examined in lexicographic
-    order; reproducible for a fixed seed."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    rng = random.Random(seed)
-    return _random_graph(n, p, rng)
-
-
-def _random_graph(n: int, p: float, rng: random.Random) -> Graph:
-    return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+    order; reproducible for a fixed seed, and the first of random_graphs'
+    stream for that seed."""
+    return random_graphs(n, p, seed, 1)[0]
 
 
 def random_graphs(n: int, p: float, seed: int, count: int) -> list[Graph]:
@@ -502,7 +496,8 @@ def random_graphs(n: int, p: float, seed: int, count: int) -> list[Graph]:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     rng = random.Random(seed)
-    return [_random_graph(n, p, rng) for _ in range(count)]
+    pairs = list(combinations(range(n), 2))
+    return [Graph(n, [e for e in pairs if rng.random() < p]) for _ in range(count)]
 
 
 GENERATOR_FAMILIES = (

@@ -144,10 +144,16 @@ def verify_realization(g: Graph, k: int, d: Digraph) -> Verification:
 # one, which lies inside the placed prefix.  So every edge at T must be
 # covered by the feeders of the other r - 1 positions or by the k added
 # vertices: cover(incident(T)) <= r - 1 + k, with the maximal cliques of G
-# as candidates.  The test reads only the placed mask, so it is memoized on
-# it.  Neither test changes the witness: each cuts only subtrees that hold no
-# realization, so the exploration meets the same first witness, in fewer
-# nodes.
+# as candidates.  Neither test changes the witness: each cuts only subtrees
+# that hold no realization, so the exploration meets the same first witness,
+# in fewer nodes.
+#
+# Two memos keep any question from being asked twice.  ``dead`` holds every
+# state (placed, covered) whose subtree was exhausted or cut, including the
+# leaves whose residual edges need more than k cliques.  ``feeders_of`` reads
+# only the placed mask: it returns the prefix's feeder cliques when the tail
+# inequality holds and None when it fails, and it is asked only after the
+# packing test passes.
 
 
 def find_realization(
@@ -165,46 +171,38 @@ def find_realization(
     n = g.n
     all_edges = (1 << g.edge_count) - 1
     t = _Cliques(g)
-    cliques_of_prefix = functools.cache(t.within)
-    residual_cover = functools.cache(functools.partial(t.cover, cap=k))
 
     @functools.cache
-    def tail_fits(placed: int) -> bool:
-        unplaced = [v for v in range(n) if not placed >> v & 1]
-        edges = 0
-        for v in unplaced:
-            edges |= t.incident[v]
-        return t.fits(edges, len(unplaced) - 1 + k)
+    def feeders_of(placed: int) -> list[tuple[tuple[int, ...], int]] | None:
+        unplaced = ((1 << n) - 1) & ~placed
+        if not t.fits(t.edges_at(unplaced), unplaced.bit_count() - 1 + k):
+            return None
+        return t.within(placed) if placed.bit_count() >= 2 else [((), 0)]
 
-    nodes_left = [budget]
-
-    def spend() -> None:
-        if nodes_left[0] is None:
-            return
-        nodes_left[0] -= 1
-        if nodes_left[0] < 0:
-            raise BudgetExceededError(f"node budget of {budget} exhausted")
-
+    nodes = 0
     dead: set[tuple[int, int]] = set()
     order: list[int] = []
     chosen: list[tuple[int, ...]] = []
 
     def extend(placed: int, covered: int) -> RealizationWitness | None:
-        spend()
-        if len(order) == n:
-            found = residual_cover(all_edges & ~covered)
-            if found is None:
-                return None
-            return _assemble(g, k, order, chosen, [t.cliques[i] for i in found[1]])
+        nonlocal nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise BudgetExceededError(f"node budget of {budget} exhausted")
         key = (placed, covered)
         if key in dead:
             return None
+        if len(order) == n:
+            found = t.cover(all_edges & ~covered, k)
+            if found is None:
+                dead.add(key)
+                return None
+            return _assemble(g, k, order, chosen, [t.cliques[i] for i in found[1]])
         # Feeder cliques only arrive at positions 3..n; count those slots.
         slots = max(0, n - max(len(order), 2))
-        if slots + k < t.packing_bound(all_edges & ~covered) or not tail_fits(placed):
+        if slots + k < t.packing_bound(all_edges & ~covered) or (feeders := feeders_of(placed)) is None:
             dead.add(key)
             return None
-        feeders = cliques_of_prefix(placed) if len(order) >= 2 else [((), 0)]
         for v in range(n):
             if placed >> v & 1 or (len(order) == 1 and v < order[0]):
                 continue  # placed already, or the first two are interchangeable

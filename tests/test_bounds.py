@@ -144,6 +144,18 @@ class TestGeneralBound:
                 continue
             assert general_bound_term(g, g.n - 1).value == opsut_edge_bound(g)
 
+    def test_report_edge_bound_matches_the_independent_one(self, graphs_up_to_3, graphs_4, graphs_5):
+        # the report reads its edge bound off the m = n term, opsut_edge_bound
+        # covers every edge on its own; n = 1 has no m = n-1 term to misread
+        draws = [g for n in range(6, 11) for p in (0.3, 0.6) for g in random_graphs(n, p, 2012 + n, 5)]
+        assert len(draws) == 50
+        for g in graphs_up_to_3 + graphs_4 + graphs_5 + draws:
+            if g.n == 0:
+                continue
+            expected = opsut_edge_bound(g)
+            for prune in (False, True):
+                assert general_bound(g, prune=prune).opsut_edge == expected, (g.edges(), prune)
+
     def test_dominates_both_bounds_from_two_vertices_up(self, graphs_up_to_3, graphs_4):
         for g in graphs_up_to_3 + graphs_4:
             if g.n < 2:

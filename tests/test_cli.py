@@ -16,7 +16,7 @@ from compnum import (
 )
 from compnum import cli
 from compnum.cli import main
-from compnum.graphs import _canonical_key
+from compnum.graphs import MAX_ENUMERATION_VERTICES, _canonical_key
 
 
 def run_cli(capsys, *argv):
@@ -322,6 +322,14 @@ class TestSurvey:
         assert info.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and f"--jobs must be positive, got {jobs}" in err
+
+    @pytest.mark.parametrize("n", ["7", "-1"])
+    def test_all_labeled_out_of_range_is_a_usage_error(self, capsys, n):
+        with pytest.raises(SystemExit) as info:
+            main(["survey", "--all-labeled", n])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"--all-labeled supports 0..{MAX_ENUMERATION_VERTICES} vertices" in err
 
     def test_jsonl_mirrors_rows(self, capsys, tmp_path):
         src = tmp_path / "in.g6"

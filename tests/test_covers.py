@@ -378,6 +378,13 @@ class TestCliqueTable:
                     expected.append((clique, sum(t.bit[e] for e in combinations(clique, 2))))
                 assert t.within(s) == expected, (g, members)
 
+    def test_edges_at_is_the_incident_edge_set(self, graphs_up_to_3, graphs_4, graphs_5):
+        for g in graphs_up_to_3 + graphs_4 + graphs_5:
+            t = _Cliques(g)
+            for s in range(1 << g.n):
+                members = [v for v in range(g.n) if s >> v & 1]
+                assert t.edges_at(s) == sum(t.bit[e] for e in g.incident_edges(members)), (g, members)
+
     def test_layout(self):
         g = path_graph(3)  # edges (0, 1) and (1, 2)
         t = _Cliques(g)
