@@ -24,13 +24,12 @@ the graph's own cliques too (covers._Cliques says why that is the same).
 
 The m = 1 term of the general bound equals opsut_vertex_bound, and for
 n >= 2 the m = n-1 term equals opsut_edge_bound, so the general bound
-dominates both; the test suite checks these identities exhaustively on
-small-graph corpora.  The report reads its edge bound off the m = n term:
-the only n-subset is V itself, scanned uncapped and in full even when pruned,
-so that term is exactly theta_e - n + 1 and the edge bound is one more.  Its
-vertex bound is counted on its own, on the shared clique table.  The public
-opsut_edge_bound and opsut_vertex_bound compute their own covers, so both
-identities, and the report's edge bound, stay independent checks.
+dominates both.  The report reads both off its terms.  The m = 1 scan runs
+first, so it is never truncated, and the cliques through v covering the edges
+at v are, less v, a clique cover of N(v), and conversely (0 for isolated v).
+The only n-subset is V, scanned in full even when pruned, so the m = n term
+is theta_e - n + 1.  The tests check both identities and both read-offs
+against opsut_edge_bound and opsut_vertex_bound, which count their own covers.
 
 Bounds are reported unclamped and can be negative (for complete graphs the
 m-th term is 2 - m).  Callers compare against competition numbers with
@@ -42,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .covers import _Cliques
+from .covers import _Cliques, edge_clique_cover_number
 from .graphs import Graph
 
 
@@ -86,16 +85,13 @@ def _require_vertices(g: Graph) -> None:
 def opsut_edge_bound(g: Graph) -> int:
     """Edge-cover lower bound: edge clique cover number - n + 2, unclamped."""
     _require_vertices(g)
-    return _Cliques(g).cover((1 << g.edge_count) - 1)[0] - g.n + 2
+    return edge_clique_cover_number(g) - g.n + 2
 
 
 def opsut_vertex_bound(g: Graph) -> int:
     """Neighborhood-cover lower bound, 0 as soon as some vertex is isolated."""
     _require_vertices(g)
-    return _opsut_vertex(g, _Cliques(g))
-
-
-def _opsut_vertex(g: Graph, t: _Cliques) -> int:
+    t = _Cliques(g)
     return min(t.vertex_cover_number(sum(1 << u for u in g.neighbors(v))) for v in range(g.n))
 
 
@@ -155,7 +151,7 @@ def general_bound(g: Graph, prune: bool = False) -> BoundReport:
     return BoundReport(
         n=g.n,
         opsut_edge=terms[-1].value + 1,
-        opsut_vertex=_opsut_vertex(g, t),
+        opsut_vertex=terms[0].value,
         terms=tuple(terms),
         general=best,
         truncated_ms=frozenset(truncated),

@@ -275,20 +275,14 @@ def cmd_gen(args, parser) -> int:
         params = [float(p) if "." in p else int(p) for p in args.params.split(",") if p]
     except ValueError:
         parser.error(f"cannot parse --params {args.params!r}")
-    if args.family == "random":
-        if args.seed is None:
-            parser.error("--family random requires --seed")
-        if len(params) != 2:
-            parser.error("random family takes --params n,p")
-        for g in random_graphs(int(params[0]), float(params[1]), args.seed, args.count):
-            print(write_graph6(g))
-    else:
-        try:
-            g = generate(args.family, params, seed=args.seed)
-        except ValueError as err:
-            parser.error(str(err))
-        for _ in range(args.count):
-            print(write_graph6(g))
+    try:
+        g = generate(args.family, params, seed=args.seed)
+    except ValueError as err:
+        parser.error(str(err))
+    # a random family's --count continues the stream g was the first draw of
+    graphs = random_graphs(g.n, params[1], args.seed, args.count) if args.family == "random" else [g] * args.count
+    for graph in graphs:
+        print(write_graph6(graph))
     return EXIT_OK
 
 

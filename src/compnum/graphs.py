@@ -443,14 +443,14 @@ def path_graph(n: int) -> Graph:
     """Path 0-1-...-(n-1), consecutive labels adjacent."""
     if n < 1:
         raise ValueError("path needs at least 1 vertex")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
     """Cycle in label order, closing the edge (0, n-1)."""
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete_graph(n: int) -> Graph:
@@ -467,12 +467,12 @@ def complete_multipartite_graph(parts: Sequence[int]) -> Graph:
     for p in parts:
         block.append(range(start, start + p))
         start += p
-    edges = [
+    edges = (
         (u, v)
         for a, b in combinations(range(len(parts)), 2)
         for u in block[a]
         for v in block[b]
-    ]
+    )
     return Graph(n, edges)
 
 
@@ -496,43 +496,44 @@ def random_graphs(n: int, p: float, seed: int, count: int) -> list[Graph]:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     rng = random.Random(seed)
-    pairs = list(combinations(range(n), 2))
-    return [Graph(n, [e for e in pairs if rng.random() < p]) for _ in range(count)]
+    return [Graph(n, ((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p)) for _ in range(count)]
 
 
-GENERATOR_FAMILIES = (
-    "path",
-    "cycle",
-    "complete",
-    "star",
-    "multipartite",
-    "edgeless",
-    "random",
-)
+GENERATOR_FAMILIES = {
+    "path": path_graph,
+    "cycle": cycle_graph,
+    "complete": complete_graph,
+    "star": star_graph,
+    "multipartite": complete_multipartite_graph,
+    "edgeless": edgeless_graph,
+    "random": random_graph,
+}
+
+
+def _whole(x: float) -> int:
+    if isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"expected a whole number, got {x}")
+    return int(x)
 
 
 def generate(family: str, params: Sequence[float], seed: int | None = None) -> Graph:
-    """Dispatch a named family.  Deterministic for fixed parameters and seed."""
-    ints = [int(x) for x in params]
-    if family == "path":
-        return path_graph(*ints)
-    if family == "cycle":
-        return cycle_graph(*ints)
-    if family == "complete":
-        return complete_graph(*ints)
-    if family == "star":
-        return star_graph(*ints)
-    if family == "multipartite":
-        return complete_multipartite_graph(ints)
-    if family == "edgeless":
-        return edgeless_graph(*ints)
+    """Dispatch a named family after checking its parameters: one whole count,
+    or whole part sizes for multipartite, or a whole n, a p and a seed for
+    random.  Deterministic for fixed parameters and seed."""
+    if family not in GENERATOR_FAMILIES:
+        raise ValueError(f"unknown family {family!r}; known: {', '.join(GENERATOR_FAMILIES)}")
     if family == "random":
         if len(params) != 2:
             raise ValueError("random family takes parameters n,p")
         if seed is None:
             raise ValueError("random family requires a seed")
-        return random_graph(int(params[0]), float(params[1]), seed)
-    raise ValueError(f"unknown family {family!r}; known: {', '.join(GENERATOR_FAMILIES)}")
+        return random_graph(_whole(params[0]), float(params[1]), seed)
+    ints = [_whole(x) for x in params]
+    if family == "multipartite":
+        return complete_multipartite_graph(ints)
+    if len(ints) != 1:
+        raise ValueError(f"{family} family takes one parameter, got {len(ints)}")
+    return GENERATOR_FAMILIES[family](ints[0])
 
 
 def all_labeled_graphs(n: int, force: bool = False) -> Iterator[Graph]:

@@ -65,16 +65,20 @@ class RealizationWitness:
         return write_dot(self.digraph, added=self.k)
 
 
+def _competition_edges(d: Digraph) -> set[tuple[int, int]]:
+    """The pairs x < y with a common prey, read off the arcs alone."""
+    prey: dict[int, list[int]] = {}
+    for u, v in d.arcs:
+        prey.setdefault(v, []).append(u)
+    return {pair for preds in prey.values() for pair in combinations(sorted(preds), 2)}
+
+
 def competition_graph(d: Digraph) -> Graph:
     """Graph on the same vertices joining every pair with a common prey.
 
     The digraph need not be acyclic.
     """
-    edges = set()
-    for v in range(d.n):
-        for x, y in combinations(sorted(d.in_neighbors(v)), 2):
-            edges.add((x, y))
-    return Graph(d.n, edges)
+    return Graph(d.n, _competition_edges(d))
 
 
 def verify_realization(g: Graph, k: int, d: Digraph) -> Verification:
@@ -82,7 +86,8 @@ def verify_realization(g: Graph, k: int, d: Digraph) -> Verification:
     added isolated vertices (labels g.n..g.n+k-1).
 
     The first failed condition is reported, in the order: cycle found,
-    missing edge, extra edge, non-isolated added vertex.
+    missing edge, extra edge, non-isolated added vertex.  The competition
+    graph is compared as an edge set, so d may exceed Graph's vertex cap.
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
@@ -93,16 +98,18 @@ def verify_realization(g: Graph, k: int, d: Digraph) -> Verification:
     except CycleError as err:
         arrow = " -> ".join(str(v) for v in err.cycle + err.cycle[:1])
         return Verification(False, f"cycle found: {arrow}")
-    comp = competition_graph(d)
-    for u, v in g.edges():
-        if not comp.has_edge(u, v):
-            return Verification(False, f"missing edge {u}-{v}")
-    for u, v in comp.edges():
-        if v < g.n and not g.has_edge(u, v):
-            return Verification(False, f"extra edge {u}-{v}")
-    for u, v in comp.edges():
-        if v >= g.n:
-            return Verification(False, f"non-isolated added vertex {v} (edge {u}-{v})")
+    comp = _competition_edges(d)
+    target = set(g.edges())
+    if missing := target - comp:
+        u, v = min(missing)
+        return Verification(False, f"missing edge {u}-{v}")
+    extra = comp - target
+    if originals := [e for e in extra if e[1] < g.n]:
+        u, v = min(originals)
+        return Verification(False, f"extra edge {u}-{v}")
+    if extra:  # every edge left touches an added vertex
+        u, v = min(extra)
+        return Verification(False, f"non-isolated added vertex {v} (edge {u}-{v})")
     return Verification(True)
 
 

@@ -156,6 +156,17 @@ class TestGeneralBound:
             for prune in (False, True):
                 assert general_bound(g, prune=prune).opsut_edge == expected, (g.edges(), prune)
 
+    def test_report_vertex_bound_matches_the_independent_one(self, graphs_up_to_3, graphs_4, graphs_5):
+        # the report reads its vertex bound off the m = 1 term,
+        # opsut_vertex_bound counts vertex covers of every N(v) on its own
+        draws = [g for n in range(6, 11) for p in (0.3, 0.6) for g in random_graphs(n, p, 2012 + n, 5)]
+        for g in graphs_up_to_3 + graphs_4 + graphs_5 + draws:
+            if g.n == 0:
+                continue
+            expected = opsut_vertex_bound(g)
+            for prune in (False, True):
+                assert general_bound(g, prune=prune).opsut_vertex == expected, (g.edges(), prune)
+
     def test_dominates_both_bounds_from_two_vertices_up(self, graphs_up_to_3, graphs_4):
         for g in graphs_up_to_3 + graphs_4:
             if g.n < 2:

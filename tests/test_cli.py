@@ -11,6 +11,7 @@ from compnum import (
     general_bound,
     parse_arc_list,
     parse_graph6,
+    random_graphs,
     verify_realization,
     write_graph6,
 )
@@ -237,6 +238,29 @@ class TestGen:
         with pytest.raises(SystemExit) as info:
             main(["gen", "--family", "cycle", "--params", "2"])
         assert info.value.code == 2
+
+    def test_random_stream_is_the_library_stream(self, capsys):
+        code, out, _ = run_cli(capsys, "gen", "--family", "random", "--params", "5,0.5", "--seed", "7", "--count", "3")
+        assert code == 0
+        assert out.splitlines() == [write_graph6(g) for g in random_graphs(5, 0.5, 7, 3)]
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ["cycle", "--params", "4,5"],
+            ["cycle", "--params", ","],
+            ["random", "--params", "5,1.5", "--seed", "1"],
+            ["random", "--params", "70,0.5", "--seed", "1"],
+            ["cycle", "--params", "3.5"],
+        ],
+    )
+    def test_bad_parameters_exit_2_without_a_traceback(self, capsys, params):
+        with pytest.raises(SystemExit) as info:
+            main(["gen", "--family", *params])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.splitlines()[-1].startswith("compnum: error: ")
 
     @pytest.mark.parametrize("family", [["cycle", "--params", "5"], ["random", "--params", "5,0.5", "--seed", "7"]])
     def test_negative_count_is_a_usage_error(self, capsys, family):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -309,6 +310,30 @@ class TestGenerators:
             generate("moebius", [5])
         with pytest.raises(ValueError, match="seed"):
             generate("random", [5, 0.5])
+
+    def test_generate_checks_parameter_count_and_wholeness(self):
+        assert generate("cycle", [4.0]) == cycle_graph(4)
+        assert generate("random", [5.0, 0.5], seed=3) == random_graph(5, 0.5, seed=3)
+        for family, params in [("cycle", [4, 5]), ("path", []), ("random", [5]), ("multipartite", [])]:
+            with pytest.raises(ValueError):
+                generate(family, params, seed=1)
+        for family, params in [("cycle", [3.5]), ("multipartite", [2, 2.5]), ("random", [5.5, 0.5])]:
+            with pytest.raises(ValueError, match="whole number"):
+                generate(family, params, seed=1)
+
+    @pytest.mark.parametrize(
+        "family,params",
+        [("path", [10**6]), ("cycle", [10**6]), ("multipartite", [10**3, 10**3]), ("random", [10**5, 0.5])],
+    )
+    def test_oversized_family_is_refused_before_its_edges_are_built(self, family, params):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="at most 62 vertices"):
+                generate(family, params, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_cycle_too_small(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import networkx as nx
@@ -60,6 +61,17 @@ class TestCompetitionGraph:
             ]
             assert competition_graph(d).edges() == expected
 
+    def test_oversized_header_is_refused_without_a_per_vertex_table(self):
+        d = Digraph(10**5, [(0, 1)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="at most 62 vertices"):
+                competition_graph(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestVerifyRealization:
     def test_k2_with_one_added_prey(self):
@@ -110,6 +122,12 @@ class TestVerifyRealization:
             verify_realization(complete_graph(2), 1, Digraph(2))
         with pytest.raises(ValueError, match="k must be"):
             verify_realization(complete_graph(2), -1, Digraph(1))
+
+    def test_witness_beyond_the_graph_vertex_cap(self):
+        # P62 plus one added vertex: vertex i + 2 is fed by {i, i + 1}
+        arcs = [(i, i + 2) for i in range(60)] + [(i + 1, i + 2) for i in range(60)] + [(60, 62), (61, 62)]
+        assert verify_realization(path_graph(62), 1, Digraph(63, arcs))
+        assert verify_realization(path_graph(62), 1, Digraph(63, arcs[:-1])).reason == "missing edge 60-61"
 
 
 class TestFindRealization:
@@ -213,6 +231,13 @@ class TestFindRealization:
             find_realization(hard, 1, budget=3000)
         for g, k, pruned in cases:
             assert find_realization(g, k) == pruned, (g.edges(), k)
+
+    def test_witness_on_63_vertices(self):
+        g = path_graph(62)
+        w = find_realization(g, 1)
+        assert w is not None and w.digraph.n == 63
+        cover = cover_from_witness(g, w, 62)
+        assert cover.size == 62 and cover.covers_target()
 
 
 class TestCompetitionNumber:
