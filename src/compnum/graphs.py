@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from functools import cached_property
 from itertools import combinations, permutations, product
 from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
@@ -76,11 +75,6 @@ class Graph:
 
     # -- basic queries ---------------------------------------------------
 
-    def has_edge(self, u: int, v: int) -> bool:
-        _check_vertex(self.n, u)
-        _check_vertex(self.n, v)
-        return v in self.adj[u]
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted (u, v) pairs with u < v, in lexicographic order."""
         return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
@@ -88,10 +82,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(len(s) for s in self.adj) // 2
-
-    def degree(self, v: int) -> int:
-        _check_vertex(self.n, v)
-        return len(self.adj[v])
 
     def neighbors(self, v: int) -> frozenset[int]:
         """Open neighborhood of v: all vertices adjacent to v, excluding v."""
@@ -162,7 +152,9 @@ class Graph:
 
 
 class Digraph:
-    """Immutable loop-free directed graph (may contain directed cycles)."""
+    """Immutable loop-free directed graph (may contain directed cycles).
+
+    It holds only ``n`` and ``arcs``, and every query scans the arcs."""
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -177,31 +169,13 @@ class Digraph:
         self.n = n
         self.arcs: frozenset[tuple[int, int]] = frozenset(arcset)
 
-    @cached_property
-    def _out(self) -> tuple[frozenset[int], ...]:
-        out: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.arcs:
-            out[u].add(v)
-        return tuple(frozenset(s) for s in out)
-
-    @cached_property
-    def _in(self) -> tuple[frozenset[int], ...]:
-        inn: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.arcs:
-            inn[v].add(u)
-        return tuple(frozenset(s) for s in inn)
-
     def out_neighbors(self, v: int) -> frozenset[int]:
         _check_vertex(self.n, v)
-        return self._out[v]
+        return frozenset(w for u, w in self.arcs if u == v)
 
     def in_neighbors(self, v: int) -> frozenset[int]:
         _check_vertex(self.n, v)
-        return self._in[v]
-
-    @property
-    def arc_count(self) -> int:
-        return len(self.arcs)
+        return frozenset(u for u, w in self.arcs if w == v)
 
     def sorted_arcs(self) -> list[tuple[int, int]]:
         return sorted(self.arcs)
@@ -228,43 +202,65 @@ def topological_order(d: Digraph) -> list[int]:
     label goes first.  Raises CycleError carrying one directed cycle if the
     digraph is not acyclic.
     """
-    indeg = [0] * d.n
-    for _, v in d.arcs:
-        indeg[v] += 1
-    ready = [v for v in range(d.n) if indeg[v] == 0]
+    order = _arc_order(d)
+    touched = set(order)
+    return list(heapq.merge(order, (v for v in range(d.n) if v not in touched)))
+
+
+def _predators(d: Digraph) -> dict[int, list[int]]:
+    """Each vertex with in-arcs, mapped to the tails of those arcs."""
+    preds: dict[int, list[int]] = {}
+    for u, v in d.arcs:
+        preds.setdefault(v, []).append(u)
+    return preds
+
+
+def _arc_order(d: Digraph) -> list[int]:
+    """Kahn's algorithm over the arc endpoints only, smallest ready label
+    first.  A vertex without arcs is ready from the start and frees nothing,
+    so topological_order merges those back in, in ascending order."""
+    succ: dict[int, list[int]] = {}
+    indeg: dict[int, int] = {}
+    for u, v in d.arcs:
+        succ.setdefault(u, []).append(v)
+        indeg[u] = indeg.get(u, 0)
+        indeg[v] = indeg.get(v, 0) + 1
+    ready = [v for v, deg in indeg.items() if deg == 0]
     heapq.heapify(ready)
     order = []
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
-        for w in d.out_neighbors(v):
+        for w in succ.get(v, ()):
             indeg[w] -= 1
             if indeg[w] == 0:
                 heapq.heappush(ready, w)
-    if len(order) < d.n:
-        remaining = frozenset(range(d.n)) - frozenset(order)
-        raise CycleError(_find_cycle(d, remaining))
+    if len(order) < len(indeg):
+        raise CycleError(_find_cycle(d, indeg.keys() - set(order)))
     return order
 
 
-def _find_cycle(d: Digraph, remaining: frozenset[int]) -> list[int]:
+def _find_cycle(d: Digraph, remaining: set[int]) -> list[int]:
     # Every vertex left over by the elimination above has an in-neighbor
     # among the leftovers, so walking backward must repeat a vertex.
+    prev = {
+        v: min(u for u in preds if u in remaining)
+        for v, preds in _predators(d).items()
+        if v in remaining
+    }
     path = [min(remaining)]
     position = {path[0]: 0}
-    while True:
-        prev = min(u for u in d.in_neighbors(path[-1]) if u in remaining)
-        if prev in position:
-            cycle = path[position[prev]:]
-            cycle.reverse()
-            return cycle
-        position[prev] = len(path)
-        path.append(prev)
+    while (p := prev[path[-1]]) not in position:
+        position[p] = len(path)
+        path.append(p)
+    cycle = path[position[p]:]
+    cycle.reverse()
+    return cycle
 
 
 def is_acyclic(d: Digraph) -> bool:
     try:
-        topological_order(d)
+        _arc_order(d)
     except CycleError:
         return False
     return True

@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .bounds import general_bound
 from .covers import _Cliques
-from .graphs import CycleError, Digraph, Graph, topological_order, write_arc_list, write_dot
+from .graphs import CycleError, Digraph, Graph, _arc_order, _predators, write_arc_list, write_dot
 
 
 class BudgetExceededError(Exception):
@@ -67,10 +67,7 @@ class RealizationWitness:
 
 def _competition_edges(d: Digraph) -> set[tuple[int, int]]:
     """The pairs x < y with a common prey, read off the arcs alone."""
-    prey: dict[int, list[int]] = {}
-    for u, v in d.arcs:
-        prey.setdefault(v, []).append(u)
-    return {pair for preds in prey.values() for pair in combinations(sorted(preds), 2)}
+    return {pair for preds in _predators(d).values() for pair in combinations(sorted(preds), 2)}
 
 
 def competition_graph(d: Digraph) -> Graph:
@@ -87,14 +84,15 @@ def verify_realization(g: Graph, k: int, d: Digraph) -> Verification:
 
     The first failed condition is reported, in the order: cycle found,
     missing edge, extra edge, non-isolated added vertex.  The competition
-    graph is compared as an edge set, so d may exceed Graph's vertex cap.
+    graph is compared as an edge set, so d may exceed Graph's vertex cap,
+    and the check costs what d's arcs hold, whatever d.n says.
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     if d.n != g.n + k:
         raise ValueError(f"digraph has {d.n} vertices, expected {g.n} + {k}")
     try:
-        topological_order(d)
+        _arc_order(d)
     except CycleError as err:
         arrow = " -> ".join(str(v) for v in err.cycle + err.cycle[:1])
         return Verification(False, f"cycle found: {arrow}")
@@ -351,11 +349,10 @@ def cover_from_witness(g: Graph, witness: RealizationWitness, m: int) -> Witness
     tail = originals[n - m:]
     region = g.closed_neighborhood(tail)
     sources = tail[1:] + list(range(n, n + witness.k))
+    preds = _predators(witness.digraph)
     return WitnessCover(
         tail=frozenset(tail),
         region=region,
         target_edges=g.incident_edges(tail),
-        cliques=tuple(
-            frozenset(witness.digraph.in_neighbors(x)) & region for x in sources
-        ),
+        cliques=tuple(frozenset(preds.get(x, ())) & region for x in sources),
     )

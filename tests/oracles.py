@@ -2,16 +2,17 @@
 
 Everything here deliberately avoids the package's solver paths: covers are
 found by exhaustive subfamily enumeration over all cliques (not just maximal
-ones), and competition numbers by enumerating vertex permutations together
-with every forward arc set.
+ones), competition numbers by enumerating vertex permutations together
+with every forward arc set, and digraph checks from dense per-vertex tables.
 """
 
 from __future__ import annotations
 
+import heapq
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from compnum import Graph
+from compnum import CycleError, Digraph, Graph
 
 
 def adjacency_masks(g: Graph) -> list[int]:
@@ -154,6 +155,70 @@ def naive_competition_number(g: Graph, k_cap: int = 6) -> int:
         if realizable_by_enumeration(g, k):
             return k
     raise AssertionError(f"no realization found with up to {k_cap} added vertices")
+
+
+# -- digraphs from dense per-vertex tables -------------------------------------
+
+
+def dense_tables(d: Digraph) -> tuple[list[set[int]], list[set[int]]]:
+    """Out- and in-neighbour sets, one of each per vertex."""
+    out: list[set[int]] = [set() for _ in range(d.n)]
+    inn: list[set[int]] = [set() for _ in range(d.n)]
+    for u, v in d.arcs:
+        out[u].add(v)
+        inn[v].add(u)
+    return out, inn
+
+
+def dense_topological_order(d: Digraph) -> list[int]:
+    """Kahn's algorithm over every vertex, smallest available label first.
+
+    On a cycle, walks backward from the smallest leftover vertex through
+    smallest leftover in-neighbours and raises CycleError with the cycle met.
+    """
+    out, inn = dense_tables(d)
+    indeg = [len(s) for s in inn]
+    ready = [v for v in range(d.n) if indeg[v] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for w in out[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(ready, w)
+    if len(order) == d.n:
+        return order
+    remaining = set(range(d.n)) - set(order)
+    path = [min(remaining)]
+    while True:
+        prev = min(u for u in inn[path[-1]] if u in remaining)
+        if prev in path:
+            cycle = path[path.index(prev):]
+            cycle.reverse()
+            raise CycleError(cycle)
+        path.append(prev)
+
+
+def dense_verify_reason(g: Graph, k: int, d: Digraph) -> str | None:
+    """verify_realization's reason (None when d realizes g plus k isolated
+    vertices), with the competition graph found pair by pair."""
+    try:
+        dense_topological_order(d)
+    except CycleError as err:
+        return "cycle found: " + " -> ".join(map(str, err.cycle + err.cycle[:1]))
+    out, _ = dense_tables(d)
+    comp = {(x, y) for x, y in combinations(range(d.n), 2) if out[x] & out[y]}
+    target = set(g.edges())
+    if missing := sorted(target - comp):
+        return "missing edge {}-{}".format(*missing[0])
+    extra = sorted(comp - target)
+    if originals := [e for e in extra if e[1] < g.n]:
+        return "extra edge {}-{}".format(*originals[0])
+    if extra:
+        return "non-isolated added vertex {1} (edge {0}-{1})".format(*extra[0])
+    return None
 
 
 # -- small structural helpers --------------------------------------------------

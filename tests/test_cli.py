@@ -173,6 +173,12 @@ class TestExact:
         code, out, _ = run_cli(capsys, "verify", "--graph", "Bw", "--k", "3", str(path))
         assert code == 1 and out.startswith("FAIL:")
 
+    def test_verify_one_arc_witness_under_a_huge_header(self, capsys, tmp_path):
+        path = tmp_path / "w.d"
+        path.write_text("digraph 1000001\n0 1\n")
+        code, out, _ = run_cli(capsys, "verify", "--graph", "@", "--k", "1000000", str(path))
+        assert code == 0 and out == "OK\n"
+
 
 class TestCompetition:
     def test_shared_prey(self, capsys, tmp_path):

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -10,6 +11,7 @@ from compnum import (
     Graph,
     GraphParseError,
     all_labeled_graphs,
+    competition_graph,
     complete_graph,
     complete_multipartite_graph,
     cycle_graph,
@@ -22,11 +24,13 @@ from compnum import (
     random_graph,
     star_graph,
     topological_order,
+    verify_realization,
     write_arc_list,
     write_dot,
     write_graph6,
 )
 from compnum.graphs import _canonical_key
+from oracles import dense_tables, dense_topological_order, dense_verify_reason
 
 
 # -- graph6 --------------------------------------------------------------------
@@ -276,6 +280,41 @@ class TestTopologicalOrder:
             for u, v in d.arcs:
                 assert pos[u] < pos[v]
             assert is_acyclic(d)
+
+
+class TestArcWalkAgainstDenseTables:
+    def test_seeded_random_digraphs_agree(self):
+        rng = random.Random(11)
+        cyclic = 0
+        for _ in range(5000):
+            n = rng.randrange(0, 12)
+            p = rng.choice([0.05, 0.15, 0.3])
+            arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+            if rng.random() < 0.5:
+                arcs = [(u, v) for u, v in arcs if u < v]
+            d = Digraph(n, arcs)
+            try:
+                expected = dense_topological_order(d)
+            except CycleError as err:
+                cyclic += 1
+                with pytest.raises(CycleError) as info:
+                    topological_order(d)
+                assert info.value.cycle == err.cycle
+                assert not is_acyclic(d)
+            else:
+                assert topological_order(d) == expected
+                assert is_acyclic(d)
+            out, inn = dense_tables(d)
+            for v in range(n):
+                assert d.out_neighbors(v) == out[v] and d.in_neighbors(v) == inn[v]
+            k = rng.randrange(0, n + 1)
+            if rng.random() < 0.5:  # often a realization, or close to one
+                g = competition_graph(d).induced_subgraph(range(n - k))[0]
+            else:
+                pairs = combinations(range(n - k), 2)
+                g = Graph(n - k, [e for e in pairs if rng.random() < 0.3])
+            assert verify_realization(g, k, d).reason == dense_verify_reason(g, k, d)
+        assert cyclic > 500  # cycles are exercised, not just orders
 
 
 # -- generators ----------------------------------------------------------------

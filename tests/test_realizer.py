@@ -19,6 +19,7 @@ from compnum import (
     edgeless_graph,
     find_realization,
     general_bound,
+    is_acyclic,
     parse_arc_list,
     parse_graph6,
     path_graph,
@@ -71,6 +72,22 @@ class TestCompetitionGraph:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def test_checks_cost_what_the_arcs_hold_not_the_header():
+    one_arc = Digraph(10**6 + 1, [(0, 1)])
+    two_cycle = Digraph(10**6, [(0, 1), (1, 0)])
+    tracemalloc.start()
+    try:
+        ok = verify_realization(Graph(1), 10**6, one_arc)
+        verify_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        acyclic = is_acyclic(two_cycle)
+        cycle_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and not acyclic
+    assert verify_peak < 1 << 20 and cycle_peak < 1 << 20
 
 
 class TestVerifyRealization:
