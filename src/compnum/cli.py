@@ -53,10 +53,6 @@ def _env_budget() -> int | None:
     raise GraphParseError(f"COMPNUM_BUDGET_NODES must be a nonnegative integer, got {raw!r}")
 
 
-def _budget_from(args) -> int | None:
-    return args.budget if args.budget is not None else _env_budget()
-
-
 def _clamped(value: int) -> int:
     return max(0, value)
 
@@ -64,13 +60,15 @@ def _clamped(value: int) -> int:
 # -- bound --------------------------------------------------------------------
 
 
-def cmd_bound(args, parser) -> int:
+def cmd_bound(args) -> int:
     if args.m is not None and args.method != "general":
-        parser.error("--m is only valid with --method general")
+        _PARSER.error("--m is only valid with --method general")
+    if args.m is not None and args.m < 1:
+        _PARSER.error(f"--m must be at least 1, got {args.m}")
     skipped = 0
-    for text in _graph_inputs(args, parser):
+    for text in _graph_inputs(args):
         try:
-            _bound_one(args, parser, text)
+            _bound_one(args, text)
         except ValueError as err:
             if not args.stdin:
                 raise
@@ -80,7 +78,7 @@ def cmd_bound(args, parser) -> int:
     return EXIT_PARSE if skipped else EXIT_OK
 
 
-def _bound_one(args, parser, text: str) -> None:
+def _bound_one(args, text: str) -> None:
     g = parse_graph6(text)
     if args.method == "opsut-e":
         _emit_single_bound(text, "opsut-e", opsut_edge_bound(g), args.json)
@@ -88,8 +86,8 @@ def _bound_one(args, parser, text: str) -> None:
         _emit_single_bound(text, "opsut-v", opsut_vertex_bound(g), args.json)
     elif args.m is not None:
         # in a batch, a graph with fewer than m vertices is one bad line
-        if args.m < 1 or not args.stdin and args.m > g.n:
-            parser.error(f"--m must be in 1..{g.n} for this graph")
+        if not args.stdin and args.m > g.n:
+            _PARSER.error(f"--m must be in 1..{g.n} for this graph")
         term = general_bound_term(g, args.m)
         _emit_single_bound(text, f"general[m={args.m}]", term.value, args.json)
     else:
@@ -127,26 +125,27 @@ def _emit_single_bound(graph6: str, method: str, value: int, as_json: bool) -> N
         print(value)
 
 
-def _graph_inputs(args, parser) -> list[str]:
+def _graph_inputs(args) -> list[str]:
     if args.stdin:
         if args.graph6 is not None:
-            parser.error("give a graph6 argument or --stdin, not both")
+            _PARSER.error("give a graph6 argument or --stdin, not both")
         return [line.strip() for line in sys.stdin if line.strip()]
     if args.graph6 is None:
-        parser.error("missing graph6 argument (or use --stdin)")
+        _PARSER.error("missing graph6 argument (or use --stdin)")
     return [args.graph6]
 
 
 # -- exact --------------------------------------------------------------------
 
 
-def cmd_exact(args, parser) -> int:
+def cmd_exact(args) -> int:
     for flag, value in (("--start-k", args.start_k), ("--budget", args.budget)):
         if value is not None and value < 0:
-            parser.error(f"{flag} must be nonnegative, got {value}")
+            _PARSER.error(f"{flag} must be nonnegative, got {value}")
     g = parse_graph6(args.graph6)
+    budget = args.budget if args.budget is not None else _env_budget()
     try:
-        k, witness = competition_number(g, start_k=args.start_k, budget=_budget_from(args))
+        k, witness = competition_number(g, start_k=args.start_k, budget=budget)
     except BudgetExceededError as err:
         print(f"k >= {err.lower_bound}; upper bound unknown (node budget exhausted)")
         return EXIT_BUDGET
@@ -167,7 +166,7 @@ def cmd_exact(args, parser) -> int:
 # -- competition --------------------------------------------------------------
 
 
-def cmd_competition(args, parser) -> int:
+def cmd_competition(args) -> int:
     if args.file == "-":
         text = sys.stdin.read()
     else:
@@ -227,12 +226,12 @@ def _row_values(g: Graph, with_exact: bool, budget: int | None) -> dict:
     }
 
 
-def cmd_survey(args, parser) -> int:
+def cmd_survey(args) -> int:
     if args.jobs < 1:
-        parser.error(f"--jobs must be positive, got {args.jobs}")
+        _PARSER.error(f"--jobs must be positive, got {args.jobs}")
     if args.all_labeled is not None:
         if not 0 <= args.all_labeled <= MAX_ENUMERATION_VERTICES:
-            parser.error(f"--all-labeled supports 0..{MAX_ENUMERATION_VERTICES} vertices")
+            _PARSER.error(f"--all-labeled supports 0..{MAX_ENUMERATION_VERTICES} vertices")
         lines = [write_graph6(g) for g in all_labeled_graphs(args.all_labeled)]
     else:
         with open(args.input) as fh:
@@ -268,17 +267,17 @@ def cmd_survey(args, parser) -> int:
 # -- gen ----------------------------------------------------------------------
 
 
-def cmd_gen(args, parser) -> int:
+def cmd_gen(args) -> int:
     if args.count < 0:
-        parser.error(f"--count must be nonnegative, got {args.count}")
+        _PARSER.error(f"--count must be nonnegative, got {args.count}")
     try:
         params = [float(p) if "." in p else int(p) for p in args.params.split(",") if p]
     except ValueError:
-        parser.error(f"cannot parse --params {args.params!r}")
+        _PARSER.error(f"cannot parse --params {args.params!r}")
     try:
         g = generate(args.family, params, seed=args.seed)
     except ValueError as err:
-        parser.error(str(err))
+        _PARSER.error(str(err))
     # a random family's --count continues the stream g was the first draw of
     graphs = random_graphs(g.n, params[1], args.seed, args.count) if args.family == "random" else [g] * args.count
     for graph in graphs:
@@ -289,7 +288,7 @@ def cmd_gen(args, parser) -> int:
 # -- verify (hidden) ----------------------------------------------------------
 
 
-def cmd_verify(args, parser) -> int:
+def cmd_verify(args) -> int:
     g = parse_graph6(args.graph)
     with open(args.witness) as fh:
         d = parse_arc_list(fh.read())
@@ -359,14 +358,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import: main may be called many times in one process.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if not getattr(args, "func", None):
-        parser.print_help()
+        _PARSER.print_help()
         return EXIT_USAGE
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except (ValueError, OSError) as err:
         # covers format errors (GraphParseError) and domain errors such as
         # asking for a bound of the 0-vertex graph

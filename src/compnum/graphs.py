@@ -297,36 +297,37 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(body) > nbytes:
         raise GraphParseError(f"byte {1 + nbytes}: trailing garbage after graph body")
-    bits: list[int] = []
+    code = 0
     for off, ch in enumerate(body, start=1):
         val = ord(ch) - 63
         if not 0 <= val <= 63:
             raise GraphParseError(f"byte {off}: data byte {ch!r} out of range")
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    for idx in range(npairs, len(bits)):
-        if bits[idx]:
-            raise GraphParseError(f"byte {1 + idx // 6}: nonzero padding bit")
-    pairs = _pair_order(n)
-    edges = [pairs[idx] for idx in range(npairs) if bits[idx]]
-    return Graph(n, edges)
+        code = code << 6 | val
+    pad = 6 * nbytes - npairs  # below 6, so all padding sits in the last data byte
+    if code & ((1 << pad) - 1):
+        raise GraphParseError(f"byte {nbytes}: nonzero padding bit")
+    top = 6 * nbytes - 1
+    return Graph(n, [pair for k, pair in enumerate(_pair_order(n)) if code >> top - k & 1])
+
+
+def _pattern(adj: Sequence[frozenset[int]], order: Sequence[int]) -> int:
+    """The upper triangle under a vertex order, read as an integer: the pairs
+    (order[i], order[j]), i < j, in graph6 column order, the first pair as
+    the most significant bit."""
+    code = 0
+    for j in range(1, len(order)):
+        row = adj[order[j]]
+        for i in range(j):
+            code = code << 1 | (order[i] in row)
+    return code
 
 
 def write_graph6(g: Graph) -> str:
     """Encode a graph as a canonical graph6 line (exact inverse of parse)."""
-    if g.n > MAX_GRAPH6_VERTICES:
-        raise ValueError(f"graph6 supports at most {MAX_GRAPH6_VERTICES} vertices")
-    chars = [chr(63 + g.n)]
-    acc = 0
-    nbits = 0
-    for i, j in _pair_order(g.n):
-        acc = (acc << 1) | (1 if j in g.adj[i] else 0)
-        nbits += 1
-        if nbits == 6:
-            chars.append(chr(63 + acc))
-            acc, nbits = 0, 0
-    if nbits:
-        chars.append(chr(63 + (acc << (6 - nbits))))
-    return "".join(chars)
+    npairs = g.n * (g.n - 1) // 2
+    nbytes = (npairs + 5) // 6
+    code = _pattern(g.adj, range(g.n)) << 6 * nbytes - npairs  # zero padding
+    return chr(63 + g.n) + "".join(chr(63 + (code >> 6 * k & 63)) for k in range(nbytes - 1, -1, -1))
 
 
 # -- canonical form ----------------------------------------------------------
@@ -357,17 +358,8 @@ def _canonical_key(g: Graph) -> tuple[int, int] | None:
     cells = [[v for v in range(n) if colour[v] == c] for c in sorted(set(colour))]
     if prod(factorial(len(cell)) for cell in cells) > _MAX_CELL_ORDERS:
         return None
-    best = None
-    for parts in product(*(permutations(cell) for cell in cells)):
-        order = [v for part in parts for v in part]
-        code = 0
-        for j in range(1, n):
-            row = adj[order[j]]
-            for i in range(j):
-                code = code << 1 | (order[i] in row)
-        if best is None or code < best:
-            best = code
-    return n, best
+    orders = product(*(permutations(cell) for cell in cells))
+    return n, min(_pattern(adj, [v for part in parts for v in part]) for parts in orders)
 
 
 # -- arc-list format ---------------------------------------------------------

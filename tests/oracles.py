@@ -3,16 +3,18 @@
 Everything here deliberately avoids the package's solver paths: covers are
 found by exhaustive subfamily enumeration over all cliques (not just maximal
 ones), competition numbers by enumerating vertex permutations together
-with every forward arc set, and digraph checks from dense per-vertex tables.
+with every forward arc set, digraph checks from dense per-vertex tables, and
+graph6 from one bit list per string.
 """
 
 from __future__ import annotations
 
 import heapq
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from math import factorial, prod
 
-from compnum import CycleError, Digraph, Graph
+from compnum import CycleError, Digraph, Graph, GraphParseError
 
 
 def adjacency_masks(g: Graph) -> list[int]:
@@ -219,6 +221,85 @@ def dense_verify_reason(g: Graph, k: int, d: Digraph) -> str | None:
     if extra:
         return "non-isolated added vertex {1} (edge {0}-{1})".format(*extra[0])
     return None
+
+
+# -- graph6 bit by bit -----------------------------------------------------------
+
+
+def bitlist_parse_graph6(text: str) -> Graph:
+    """graph6 decoding through one list holding every body bit."""
+    s = text.rstrip("\r\n")
+    if not s:
+        raise GraphParseError("byte 0: empty graph6 string")
+    header = ord(s[0])
+    if header == 126:
+        raise GraphParseError("byte 0: vertex counts above 62 are not supported")
+    if not 63 <= header <= 125:
+        raise GraphParseError(f"byte 0: invalid header byte {s[0]!r}")
+    n = header - 63
+    npairs = n * (n - 1) // 2
+    nbytes = (npairs + 5) // 6
+    body = s[1:]
+    if len(body) < nbytes:
+        raise GraphParseError(
+            f"byte {len(s)}: truncated body, expected {nbytes} data bytes, got {len(body)}"
+        )
+    if len(body) > nbytes:
+        raise GraphParseError(f"byte {1 + nbytes}: trailing garbage after graph body")
+    bits: list[int] = []
+    for off, ch in enumerate(body, start=1):
+        val = ord(ch) - 63
+        if not 0 <= val <= 63:
+            raise GraphParseError(f"byte {off}: data byte {ch!r} out of range")
+        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
+    for idx in range(npairs, len(bits)):
+        if bits[idx]:
+            raise GraphParseError(f"byte {1 + idx // 6}: nonzero padding bit")
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return Graph(n, [pairs[idx] for idx in range(npairs) if bits[idx]])
+
+
+def packer_write_graph6(g: Graph) -> str:
+    """graph6 encoding six bits at a time, the last byte zero-padded."""
+    chars = [chr(63 + g.n)]
+    acc = nbits = 0
+    for j in range(1, g.n):
+        for i in range(j):
+            acc = (acc << 1) | (1 if j in g.adj[i] else 0)
+            nbits += 1
+            if nbits == 6:
+                chars.append(chr(63 + acc))
+                acc, nbits = 0, 0
+    if nbits:
+        chars.append(chr(63 + (acc << (6 - nbits))))
+    return "".join(chars)
+
+
+def inline_canonical_key(g: Graph, max_orders: int = 720) -> tuple[int, int] | None:
+    """The canonical key with the relabeled bit pattern built inline for
+    every order of the vertices inside the refined cells."""
+    n, adj = g.n, g.adj
+    colour = [len(adj[v]) for v in range(n)]
+    while True:
+        signature = [(colour[v], tuple(sorted(colour[u] for u in adj[v]))) for v in range(n)]
+        rank = {s: i for i, s in enumerate(sorted(set(signature)))}
+        if len(rank) == len(set(colour)):
+            break
+        colour = [rank[s] for s in signature]
+    cells = [[v for v in range(n) if colour[v] == c] for c in sorted(set(colour))]
+    if prod(factorial(len(cell)) for cell in cells) > max_orders:
+        return None
+    best = None
+    for parts in product(*(permutations(cell) for cell in cells)):
+        order = [v for part in parts for v in part]
+        code = 0
+        for j in range(1, n):
+            row = adj[order[j]]
+            for i in range(j):
+                code = code << 1 | (order[i] in row)
+        if best is None or code < best:
+            best = code
+    return n, best
 
 
 # -- small structural helpers --------------------------------------------------

@@ -99,6 +99,18 @@ class TestBound:
             main(["bound", "--method", "general", "--m", "5", "Cl"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("stdin", ["", "!!\nBw\n"])
+    def test_m_below_one_is_refused_before_any_line_is_read(self, capsys, monkeypatch, stdin):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        with pytest.raises(SystemExit) as info:
+            main(["bound", "--method", "general", "--m", "0", "--stdin"])
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and captured.out == ""
+        assert "--m must be at least 1, got 0" in captured.err
+        assert "skipped" not in captured.err
+
     def test_parse_error_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--method", "opsut-e", "B" + chr(200))
         assert code == 1 and "byte 1" in err
@@ -454,3 +466,27 @@ class TestUsage:
     def test_verify_is_hidden_from_help(self, capsys):
         code, out, _ = run_cli(capsys)
         assert "{bound,exact,competition,survey,gen}" in out
+
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        import io
+
+        def no_new_parser():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", no_new_parser)
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                main(["exact", "--budget", "-1", "Cl"])
+            assert info.value.code == 2
+            assert "--budget must be nonnegative, got -1" in capsys.readouterr().err
+            monkeypatch.setattr("sys.stdin", io.StringIO("Bw\nCl\n"))
+            assert run_cli(capsys, "bound", "--method", "opsut-e", "--stdin") == (0, "0\n2\n", "")
+            code, out, _ = run_cli(capsys, "bound", "--method", "general", "Cl")
+            assert code == 0 and out.splitlines()[0] == "general = 2"
+            assert run_cli(capsys, "exact", "Cl") == (0, "k = 2\n", "")
+            code, out, _ = run_cli(capsys, "survey", "--all-labeled", "3")
+            lines = out.splitlines()
+            assert code == 0 and lines[0] == ",".join(cli.SURVEY_COLUMNS) and len(lines) == 9
+            assert [line.split(",")[0] for line in lines[1:]] == [
+                write_graph6(g) for g in all_labeled_graphs(3)
+            ]

@@ -30,7 +30,14 @@ from compnum import (
     write_graph6,
 )
 from compnum.graphs import _canonical_key
-from oracles import dense_tables, dense_topological_order, dense_verify_reason
+from oracles import (
+    bitlist_parse_graph6,
+    dense_tables,
+    dense_topological_order,
+    dense_verify_reason,
+    inline_canonical_key,
+    packer_write_graph6,
+)
 
 
 # -- graph6 --------------------------------------------------------------------
@@ -96,6 +103,59 @@ class TestGraph6:
             decoded = nx.from_graph6_bytes(write_graph6(g).encode())
             assert sorted(decoded.nodes()) == list(range(g.n))
             assert sorted(tuple(sorted(e)) for e in decoded.edges()) == g.edges()
+
+
+def outcome(fn, text):
+    """fn(text), or the type and message of what it raised."""
+    try:
+        return fn(text)
+    except Exception as err:
+        return type(err), str(err)
+
+
+class TestGraph6AgainstBitLists:
+    """The graph6 codec and the canonical key share one bit pattern; they
+    must act exactly as the bit-list references in tests/oracles.py."""
+
+    @staticmethod
+    def check_graph(g):
+        text = write_graph6(g)
+        assert text == packer_write_graph6(g)
+        assert parse_graph6(text) == bitlist_parse_graph6(text) == g
+        assert _canonical_key(g) == inline_canonical_key(g)
+
+    @staticmethod
+    def check_text(text):
+        assert outcome(parse_graph6, text) == outcome(bitlist_parse_graph6, text), repr(text)
+
+    def test_every_labeled_graph_up_to_6(self):
+        for n in range(7):
+            for g in all_labeled_graphs(n):
+                self.check_graph(g)
+
+    def test_seeded_draws_with_7_to_62_vertices(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            g = random_graph(rng.randint(7, 62), rng.random(), seed=rng.randrange(10**6))
+            self.check_graph(g)
+
+    def test_every_header_byte(self):
+        for header in map(chr, range(256)):
+            n = ord(header) - 63
+            nbytes = (n * (n - 1) // 2 + 5) // 6 if 0 <= n <= 62 else 1
+            for body in ("", "?", "~", "?" * nbytes, "~" * nbytes, "?" * (nbytes + 1), "?" * nbytes + "\n"):
+                self.check_text(header + body)
+
+    def test_seeded_bodies_near_the_right_length(self):
+        rng = random.Random(2012)
+        for _ in range(4000):
+            n = rng.randint(0, 62)
+            nbytes = (n * (n - 1) // 2 + 5) // 6
+            length = max(0, nbytes + rng.randint(-2, 2))
+            # mostly in-range data bytes, so the padding check is reached
+            body = "".join(chr(rng.randint(63, 126) if rng.random() < 0.98 else rng.randint(0, 300))
+                           for _ in range(length))
+            self.check_text(chr(63 + n) + body)
 
 
 # -- graph basics ----------------------------------------------------------------
