@@ -31,6 +31,15 @@ The only n-subset is V, scanned in full even when pruned, so the m = n term
 is theta_e - n + 1.  The tests check both identities and both read-offs
 against opsut_edge_bound and opsut_vertex_bound, which count their own covers.
 
+One report keeps one table from each incident-edge mask to a proven lower
+bound on its cover, of three kinds: the packing bound, met on the mask's
+first visit; the cap plus one, once a capped search refutes the cap; and the
+cover number itself, once a search finds it.  Masks repeat across subsets
+and across m, so each is bounded once and searched at most once per cap.  A
+subset of size m is a head of size m - 1 plus one larger vertex, and
+incident(U) contains incident(head); the cover number only grows with the
+mask, so a head bounded above the cap rules out all of its extensions.
+
 Bounds are reported unclamped and can be negative (for complete graphs the
 m-th term is 2 - m).  Callers compare against competition numbers with
 max(0, bound).
@@ -95,26 +104,55 @@ def opsut_vertex_bound(g: Graph) -> int:
     return min(t.vertex_cover_number(sum(1 << u for u in g.neighbors(v))) for v in range(g.n))
 
 
-def _scan(g: Graph, t: _Cliques, m: int, floor: int | None = None) -> tuple[BoundTerm, bool]:
+def _scan(
+    g: Graph, t: _Cliques, m: int, known: dict[int, tuple[int, bool]], floor: int | None = None
+) -> tuple[BoundTerm, bool]:
     """The m-th term with its lexicographically first minimizing subset.
 
     A subset only matters if it beats the running minimum ``best``, that is
     if cover(U) - m + 1 < best, so once there is a minimum each cover is
-    capped at best + m - 2 and a subset the capped search rejects is skipped.
-    Only strictly smaller values replace the minimum, so the value and the
-    subset are those of the literal scan.
+    capped at best + m - 2, one below the fewest cliques found so far, and a
+    subset whose cover provably exceeds the cap is skipped.  Only strictly
+    smaller values replace the minimum, so the value and the subset are those
+    of the literal scan.
+
+    ``known`` maps an incident-edge mask to a proven lower bound on its cover
+    and whether that bound is exact.  A mask first gets its packing bound; a
+    capped search that finds no cover raises it to the cap plus one, and one
+    that finds a cover makes it exact.  A subset whose mask is bounded above
+    the cap needs no search.  The subsets are walked as (m-1)-subsets, the
+    heads, each extended by every larger vertex, which is lexicographic
+    order.  incident(U) contains incident(head) and the cover number only
+    grows with the mask, while the cap only falls, so once the table bounds a
+    head's mask above the cap, every extension of it is skipped unsearched.
 
     With ``floor`` set, the scan stops as soon as the running minimum drops to
     it; the second value says whether it stopped early.
     """
-    best = argmin = None
-    for subset in combinations(range(g.n), m):
+    best = argmin = cap = None
+    incident = t.incident
+    for head in combinations(range(g.n), m - 1):
         edges = 0
-        for u in subset:
-            edges |= t.incident[u]
-        found = t.cover(edges, None if best is None else best + m - 2)
-        if found is not None:
-            best, argmin = found[0] - m + 1, subset
+        for u in head:
+            edges |= incident[u]
+        if cap is not None and known.get(edges, (0,))[0] > cap:
+            continue
+        for v in range(head[-1] + 1 if head else 0, g.n):
+            mask = edges | incident[v]
+            entry = known.get(mask)
+            if entry is None:
+                entry = known[mask] = (t.packing_bound(mask), False)
+            cover, exact = entry
+            if cap is not None and cover > cap:
+                continue
+            if not exact:
+                found = t.cover(mask, cap)
+                if found is None:
+                    known[mask] = (cap + 1, False)
+                    continue
+                cover = found[0]
+                known[mask] = (cover, True)
+            best, argmin, cap = cover - m + 1, head + (v,), cover - 1
             if floor is not None and best <= floor:
                 return BoundTerm(m, best, argmin), True
     return BoundTerm(m, best, argmin), False
@@ -125,7 +163,7 @@ def general_bound_term(g: Graph, m: int) -> BoundTerm:
     _require_vertices(g)
     if not 1 <= m <= g.n:
         raise ValueError(f"m must be in 1..{g.n}, got {m}")
-    return _scan(g, _Cliques(g), m)[0]
+    return _scan(g, _Cliques(g), m, {})[0]
 
 
 def general_bound(g: Graph, prune: bool = False) -> BoundReport:
@@ -138,11 +176,12 @@ def general_bound(g: Graph, prune: bool = False) -> BoundReport:
     """
     _require_vertices(g)
     t = _Cliques(g)
+    known: dict[int, tuple[int, bool]] = {}
     terms: list[BoundTerm] = []
     truncated: set[int] = set()
     best: int | None = None
     for m in range(1, g.n + 1):
-        term, cut = _scan(g, t, m, best if prune else None)
+        term, cut = _scan(g, t, m, known, best if prune else None)
         terms.append(term)
         if cut:
             truncated.add(m)

@@ -85,8 +85,9 @@ def _bound_one(args, text: str) -> None:
     elif args.method == "opsut-v":
         _emit_single_bound(text, "opsut-v", opsut_vertex_bound(g), args.json)
     elif args.m is not None:
-        # in a batch, a graph with fewer than m vertices is one bad line
-        if not args.stdin and args.m > g.n:
+        # in a batch, a graph with fewer than m vertices is one bad line; the
+        # empty graph is refused as every other bound refuses it
+        if not args.stdin and args.m > g.n and g.n:
             _PARSER.error(f"--m must be in 1..{g.n} for this graph")
         term = general_bound_term(g, args.m)
         _emit_single_bound(text, f"general[m={args.m}]", term.value, args.json)

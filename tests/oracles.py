@@ -3,8 +3,9 @@
 Everything here deliberately avoids the package's solver paths: covers are
 found by exhaustive subfamily enumeration over all cliques (not just maximal
 ones), competition numbers by enumerating vertex permutations together
-with every forward arc set, digraph checks from dense per-vertex tables, and
-graph6 from one bit list per string.
+with every forward arc set, digraph checks from dense per-vertex tables,
+graph6 from one bit list per string, and the general bound's report from one
+capped cover search per vertex subset.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from itertools import combinations, permutations, product
 from math import factorial, prod
 
 from compnum import CycleError, Digraph, Graph, GraphParseError
+from compnum.bounds import BoundReport, BoundTerm
+from compnum.covers import _Cliques
 
 
 def adjacency_masks(g: Graph) -> list[int]:
@@ -300,6 +303,48 @@ def inline_canonical_key(g: Graph, max_orders: int = 720) -> tuple[int, int] | N
         if best is None or code < best:
             best = code
     return n, best
+
+
+# -- the general bound, one subset at a time -------------------------------------
+
+
+def literal_general_bound(g: Graph, prune: bool = False) -> BoundReport:
+    """The general bound's report with every m-subset handed to the capped
+    cover search in lexicographic order, nothing remembered between subsets.
+    Unpruned, its m-th term is the exact term general_bound_term returns."""
+
+    def scan(t: _Cliques, m: int, floor: int | None) -> tuple[BoundTerm, bool]:
+        best = argmin = None
+        for subset in combinations(range(g.n), m):
+            edges = 0
+            for u in subset:
+                edges |= t.incident[u]
+            found = t.cover(edges, None if best is None else best + m - 2)
+            if found is not None:
+                best, argmin = found[0] - m + 1, subset
+                if floor is not None and best <= floor:
+                    return BoundTerm(m, best, argmin), True
+        return BoundTerm(m, best, argmin), False
+
+    t = _Cliques(g)
+    terms: list[BoundTerm] = []
+    truncated: set[int] = set()
+    best: int | None = None
+    for m in range(1, g.n + 1):
+        term, cut = scan(t, m, best if prune else None)
+        terms.append(term)
+        if cut:
+            truncated.add(m)
+        else:
+            best = term.value if best is None else max(best, term.value)
+    return BoundReport(
+        n=g.n,
+        opsut_edge=terms[-1].value + 1,
+        opsut_vertex=terms[0].value,
+        terms=tuple(terms),
+        general=best,
+        truncated_ms=frozenset(truncated),
+    )
 
 
 # -- small structural helpers --------------------------------------------------

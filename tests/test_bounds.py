@@ -4,6 +4,7 @@ import pytest
 
 from compnum import (
     Graph,
+    all_labeled_graphs,
     complete_graph,
     complete_multipartite_graph,
     cycle_graph,
@@ -17,7 +18,8 @@ from compnum import (
     restricted_edge_cover_number,
     star_graph,
 )
-from oracles import brute_subset_term, brute_vertex_cover_number
+from compnum.covers import _Cliques
+from oracles import brute_subset_term, brute_vertex_cover_number, literal_general_bound
 
 
 class TestOpsutEdgeBound:
@@ -221,3 +223,65 @@ class TestGeneralBound:
             first_min = min(values, key=lambda s: (values[s], s))
             assert (term.value, term.subset) == (values[first_min], first_min)
         assert general_bound(g, prune=True).general == full.general
+
+
+def assert_scan_is_literal(g: Graph) -> None:
+    """Whole reports, pruned and unpruned, and every single term agree with
+    the scan that hands every subset to the capped cover search."""
+    literal = literal_general_bound(g)
+    assert general_bound(g) == literal
+    assert general_bound(g, prune=True) == literal_general_bound(g, prune=True)
+    for m in range(1, g.n + 1):
+        assert general_bound_term(g, m) == literal.term(m)
+
+
+class TestScanAgainstTheLiteralScan:
+    # the table of proven cover bounds and the skipped extensions of refuted
+    # heads must change no term value, subset or truncation point
+
+    def test_every_labeled_graph_up_to_five_vertices(self, graphs_up_to_3, graphs_4, graphs_5):
+        for g in graphs_up_to_3 + graphs_4 + graphs_5:
+            if g.n:
+                assert_scan_is_literal(g)
+
+    def test_every_seventh_labeled_graph_on_six_vertices(self):
+        for i, g in enumerate(all_labeled_graphs(6)):
+            if i % 7 == 0:
+                assert_scan_is_literal(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [g for n in range(7, 13) for p in (0.3, 0.5, 0.7) for g in random_graphs(n, p, 2012 * n, 2)]
+        + [cycle_graph(8), complete_multipartite_graph([3, 3, 2])],
+    )
+    def test_random_and_structured_graphs(self, g):
+        assert_scan_is_literal(g)
+
+
+def test_each_mask_is_bounded_once_and_searched_once_per_cap(monkeypatch):
+    # a packing bound, a refuted cap and a found cover are each remembered,
+    # so no mask is bounded twice and no capped search is asked again
+    packed: list[int] = []
+    searched: list[tuple[int, int | None]] = []
+    cover, packing_bound = _Cliques.cover, _Cliques.packing_bound
+
+    def counted_cover(self, edges, cap=None):
+        searched.append((edges, cap))
+        return cover(self, edges, cap)
+
+    def counted_packing_bound(self, edges):
+        packed.append(edges)
+        return packing_bound(self, edges)
+
+    monkeypatch.setattr(_Cliques, "cover", counted_cover)
+    monkeypatch.setattr(_Cliques, "packing_bound", counted_packing_bound)
+    subsets = searches = 0
+    for g in random_graphs(10, 0.5, 2012 * 16 + 5, 3):
+        packed.clear()
+        searched.clear()
+        general_bound(g)
+        assert len(packed) == len(set(packed))
+        assert len(searched) == len(set(searched))
+        subsets += 2**g.n - 1
+        searches += len(searched)
+    assert 5 * searches < subsets

@@ -119,6 +119,13 @@ class TestBound:
         code, _, err = run_cli(capsys, "bound", "--method", "general", "?")
         assert code == 1 and "empty graph" in err
 
+    @pytest.mark.parametrize("m", ["1", "2"])
+    def test_zero_vertex_graph_is_a_domain_error_for_one_term(self, capsys, m):
+        code, out, err = run_cli(capsys, "bound", "--method", "general", "--m", m, "?")
+        assert code == 1 and out == ""
+        assert "bound is undefined for the empty graph" in err
+        assert "--m must be in" not in err
+
 
 class TestExact:
     def test_c4(self, capsys):
