@@ -112,9 +112,11 @@ def _scan(
     A subset only matters if it beats the running minimum ``best``, that is
     if cover(U) - m + 1 < best, so once there is a minimum each cover is
     capped at best + m - 2, one below the fewest cliques found so far, and a
-    subset whose cover provably exceeds the cap is skipped.  Only strictly
-    smaller values replace the minimum, so the value and the subset are those
-    of the literal scan.
+    subset whose cover provably exceeds the cap is skipped.  Before that the
+    cap starts at the edge count: no mask needs more cliques than it has
+    edges, so that cap refutes nothing and its capped cover is the uncapped
+    one.  Only strictly smaller values replace the minimum, so the value and
+    the subset are those of the literal scan.
 
     ``known`` maps an incident-edge mask to a proven lower bound on its cover
     and whether that bound is exact.  A mask first gets its packing bound; a
@@ -129,13 +131,14 @@ def _scan(
     With ``floor`` set, the scan stops as soon as the running minimum drops to
     it; the second value says whether it stopped early.
     """
-    best = argmin = cap = None
+    best = argmin = None
+    cap = g.edge_count
     incident = t.incident
     for head in combinations(range(g.n), m - 1):
         edges = 0
         for u in head:
             edges |= incident[u]
-        if cap is not None and known.get(edges, (0,))[0] > cap:
+        if known.get(edges, (0,))[0] > cap:
             continue
         for v in range(head[-1] + 1 if head else 0, g.n):
             mask = edges | incident[v]
@@ -143,7 +146,7 @@ def _scan(
             if entry is None:
                 entry = known[mask] = (t.packing_bound(mask), False)
             cover, exact = entry
-            if cap is not None and cover > cap:
+            if cover > cap:
                 continue
             if not exact:
                 found = t.cover(mask, cap)

@@ -290,6 +290,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.k < 0:
+        _PARSER.error(f"--k must be nonnegative, got {args.k}")
     g = parse_graph6(args.graph)
     with open(args.witness) as fh:
         d = parse_arc_list(fh.read())

@@ -58,11 +58,13 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
 # ``shadows[b]`` of b and every element sharing a candidate with b.  Every
 # query is one branch and bound, ``_search``, in a fixed order: it branches on
 # the lowest uncovered bit among those with the fewest holders, trying its
-# holders in ascending order.  A cover is recorded as soon as the residual is
-# empty, before any barrier check, so an equal-size later sibling replaces the
-# recorded cover.  Witness bytes depend on that rule, and on a minimum query
-# never stopping early, not even at the packing bound.  Its greedy start
-# breaks ties on the lowest index.
+# holders in ascending order.  Its barrier, one more than the sets a cover may
+# use, is the only cap any query sets: with a barrier of 0 or less the search
+# meets no cover at all.  Below the root, a cover is recorded as soon as the
+# residual is empty, before any barrier check, so an equal-size later sibling
+# replaces the recorded cover.  Witness bytes depend on that rule, and on a
+# minimum query never stopping early, not even at the packing bound.  Its
+# greedy start breaks ties on the lowest index.
 #
 # The packing bound counts elements pairwise without a common candidate, so
 # no cover can take two of them with one set.  Walking the elements upwards,
@@ -126,7 +128,8 @@ def _packing_bound(uncovered: int, shadows: Sequence[int]) -> int:
 def _search(universe: int, family: _Family, barrier: int, goal: int) -> tuple[int, ...] | None:
     """Search the covers of ``universe`` with fewer than ``barrier`` sets, each
     one met becoming the barrier, until one has at most ``goal`` sets.  The
-    last cover met, as sorted candidate indices, or None."""
+    last cover met, as sorted candidate indices, or None; the barrier is the
+    only cap, so with ``barrier <= 0`` no cover is met, not even the empty one."""
     cands, holders, shadows, tiers = family
     found = None
 
@@ -146,7 +149,8 @@ def _search(universe: int, family: _Family, barrier: int, goal: int) -> tuple[in
                 return True
         return False
 
-    search(universe, ())
+    if barrier > 0:
+        search(universe, ())
     return found
 
 
@@ -155,9 +159,9 @@ def _min_cover(
 ) -> tuple[int, tuple[int, ...]] | None:
     """Minimum cover of the bits of ``universe``: (size, sorted candidate
     indices), or None once every cover provably needs more than ``cap`` sets.
-    Every bit of ``universe`` must have a holder."""
-    if cap is not None and _packing_bound(universe, family.shadows) > cap:
-        return None
+    Every bit of ``universe`` must have a holder.  The cap enters only as the
+    first barrier, ``cap + 1``: the greedy start stops there, and the search
+    meets no cover that needs more."""
     cands = family.cands
     # greedy never picks a candidate twice, so uncapped it stays below this
     barrier = len(cands) + 1 if cap is None else cap + 1
@@ -276,10 +280,8 @@ class _Cliques:
     def fits(self, edges: int, cap: int) -> bool:
         """Whether at most ``cap`` cliques cover the edge mask, as ``cover(edges,
         cap) is not None`` answers, but with no greedy start and stopping at the
-        first cover within the cap."""
-        found = _search(edges, self.edge_family, cap + 1, cap)
-        # the search records the empty cover of an empty mask even for cap -1
-        return found is not None and len(found) <= cap
+        first cover within the cap, which the barrier ``cap + 1`` alone enforces."""
+        return _search(edges, self.edge_family, cap + 1, cap) is not None
 
     def edges_at(self, vertices: int) -> int:
         """The mask of the edges with an end in the vertex mask."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
 from .bounds import general_bound
 from .covers import _Cliques
@@ -142,8 +143,13 @@ def verify_realization(g: Graph, k: int, d: Digraph) -> Verification:
 # (covers._Cliques.within).  The search state is two ints: the placed
 # vertices and the covered edges, as masks in the layout of covers._Cliques.
 #
-# Two tests cut a node whose subtree holds no realization.  The packing test
-# counts the feeder slots still open.  The tail inequality (Opsut 1982;
+# Two tests cut a node whose subtree holds no realization.  Every node, the
+# leaf included, takes the packing test: the residual edges must fit into the
+# feeder slots still open plus the k added vertices, and at the leaf no slot
+# is open.  A leaf that passes covers its residual with at most k cliques,
+# which feed the added vertices as positions n..n+k-1 of the ordering, like
+# any other position.  Any other node that passes expands its feeders once
+# the tail inequality holds too.  The tail inequality (Opsut 1982;
 # Roberts 1978) looks at the r unplaced vertices T, which every completion
 # puts last.  No feeder chosen so far touches T, and neither does the next
 # one, which lies inside the placed prefix.  So every edge at T must be
@@ -155,7 +161,8 @@ def verify_realization(g: Graph, k: int, d: Digraph) -> Verification:
 #
 # Two memos keep any question from being asked twice.  ``dead`` holds every
 # state (placed, covered) whose subtree was exhausted or cut, including the
-# leaves whose residual edges need more than k cliques.  ``feeders_of`` reads
+# leaves whose residual edges need more than k cliques: every refusal takes
+# the node's one exit, which marks its state.  ``feeders_of`` reads
 # only the placed mask: it returns the prefix's feeder cliques when the tail
 # inequality holds and None when it fails, and it is asked only after the
 # packing test passes.
@@ -197,54 +204,37 @@ def find_realization(
         key = (placed, covered)
         if key in dead:
             return None
-        if len(order) == n:
-            found = t.cover(all_edges & ~covered, k)
-            if found is None:
-                dead.add(key)
-                return None
-            return _assemble(g, k, order, chosen, [t.cliques[i] for i in found[1]])
-        # Feeder cliques only arrive at positions 3..n; count those slots.
+        residual = all_edges & ~covered
+        # Feeder cliques only arrive at positions 3..n; count those still open.
         slots = max(0, n - max(len(order), 2))
-        if slots + k < t.packing_bound(all_edges & ~covered) or (feeders := feeders_of(placed)) is None:
-            dead.add(key)
-            return None
-        for v in range(n):
-            if placed >> v & 1 or (len(order) == 1 and v < order[0]):
-                continue  # placed already, or the first two are interchangeable
-            order.append(v)
-            for members, mask in feeders:
-                chosen.append(members)
-                witness = extend(placed | 1 << v, covered | mask)
-                if witness is not None:
-                    return witness
-                chosen.pop()
-            order.pop()
+        if slots + k >= t.packing_bound(residual):
+            if len(order) == n:
+                if (found := t.cover(residual, k)) is not None:
+                    return _assemble(g, k, order, chosen + [t.cliques[i] for i in found[1]])
+            elif (feeders := feeders_of(placed)) is not None:
+                for v in range(n):
+                    if placed >> v & 1 or (len(order) == 1 and v < order[0]):
+                        continue  # placed already, or the first two are interchangeable
+                    order.append(v)
+                    for members, mask in feeders:
+                        chosen.append(members)
+                        witness = extend(placed | 1 << v, covered | mask)
+                        if witness is not None:
+                            return witness
+                        chosen.pop()
+                    order.pop()
         dead.add(key)
         return None
 
     return extend(0, 0)
 
 
-def _assemble(
-    g: Graph,
-    k: int,
-    order: list[int],
-    feeders: list[tuple[int, ...]],
-    residual_cliques: list[frozenset],
-) -> RealizationWitness:
-    n = g.n
-    arcs = []
-    for position, v in enumerate(order):
-        for u in feeders[position]:
-            arcs.append((u, v))
-    for j, clique in enumerate(residual_cliques):
-        for u in clique:
-            arcs.append((u, n + j))
-    witness = RealizationWitness(
-        k=k,
-        digraph=Digraph(n + k, arcs),
-        ordering=tuple(order) + tuple(range(n, n + k)),
-    )
+def _assemble(g: Graph, k: int, order: list[int], feeders: list[Iterable[int]]) -> RealizationWitness:
+    # positions n..n+k-1 are the added vertices; zip leaves those past the
+    # residual's cliques without arcs
+    ordering = tuple(order) + tuple(range(g.n, g.n + k))
+    arcs = [(u, v) for v, feeder in zip(ordering, feeders) for u in feeder]
+    witness = RealizationWitness(k=k, digraph=Digraph(g.n + k, arcs), ordering=ordering)
     check = verify_realization(g, k, witness.digraph)
     if not check.ok:  # internal consistency guard, never expected to fire
         raise RuntimeError(f"assembled witness failed verification: {check.reason}")

@@ -5,7 +5,8 @@ found by exhaustive subfamily enumeration over all cliques (not just maximal
 ones), competition numbers by enumerating vertex permutations together
 with every forward arc set, digraph checks from dense per-vertex tables,
 graph6 from one bit list per string, and the general bound's report from one
-capped cover search per vertex subset.
+capped cover search per vertex subset.  The one exception reads the
+realizer's own search nodes, through nothing but its public budget.
 """
 
 from __future__ import annotations
@@ -15,7 +16,15 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial, prod
 
-from compnum import CycleError, Digraph, Graph, GraphParseError
+from compnum import (
+    BudgetExceededError,
+    CycleError,
+    Digraph,
+    Graph,
+    GraphParseError,
+    competition_number,
+    find_realization,
+)
 from compnum.bounds import BoundReport, BoundTerm
 from compnum.covers import _Cliques
 
@@ -160,6 +169,39 @@ def naive_competition_number(g: Graph, k_cap: int = 6) -> int:
         if realizable_by_enumeration(g, k):
             return k
     raise AssertionError(f"no realization found with up to {k_cap} added vertices")
+
+
+# -- the realizer's search nodes, read through its budget ------------------------
+
+
+def least_budget(g: Graph, k: int) -> int:
+    """The fewest search nodes find_realization(g, k) needs: it finishes with
+    that budget and runs out one below it.  Found by doubling, then bisection,
+    over the public budget alone."""
+
+    def finishes(budget: int) -> bool:
+        try:
+            find_realization(g, k, budget=budget)
+        except BudgetExceededError:
+            return False
+        return True
+
+    high = 1
+    while not finishes(high):
+        high *= 2
+    low = high // 2  # runs out, as a budget of 0 always does
+    while high - low > 1:
+        mid = (low + high) // 2
+        if finishes(mid):
+            high = mid
+        else:
+            low = mid
+    return high
+
+
+def level_node_counts(g: Graph) -> list[int]:
+    """least_budget at every level k = 0..k(G) of a graph with a vertex."""
+    return [least_budget(g, k) for k in range(competition_number(g)[0] + 1)]
 
 
 # -- digraphs from dense per-vertex tables -------------------------------------

@@ -192,6 +192,14 @@ class TestExact:
         code, out, _ = run_cli(capsys, "verify", "--graph", "Bw", "--k", "3", str(path))
         assert code == 1 and out.startswith("FAIL:")
 
+    def test_verify_negative_k_is_a_usage_error_before_the_witness_is_read(self, capsys, tmp_path):
+        # the witness path does not exist: opening it would be an I/O error
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--graph", "Cl", "--k", "-1", str(tmp_path / "missing.d")])
+        out, err = capsys.readouterr()
+        assert info.value.code == 2
+        assert out == "" and "--k must be nonnegative, got -1" in err
+
     def test_verify_one_arc_witness_under_a_huge_header(self, capsys, tmp_path):
         path = tmp_path / "w.d"
         path.write_text("digraph 1000001\n0 1\n")

@@ -21,7 +21,7 @@ from compnum import (
     restricted_edge_cover_number,
     vertex_clique_cover_number,
 )
-from compnum.covers import _Cliques, _family, _packing_bound
+from compnum.covers import _Cliques, _family, _packing_bound, _search
 from oracles import (
     adjacency_masks,
     brute_edge_cover_number,
@@ -243,6 +243,44 @@ class TestChosenCovers:
         results = [edge_clique_cover(g) for g in graphs_up_to_3 + graphs_4 + graphs_5]
         assert len(results) == 1100
         assert self.digest(results) == "0b56160bf8aa69bf5562c8e66fed22ce1154797d91e9609b431cfbc3a0905728"
+
+
+class TestSearchContract:
+    # The barrier is the kernel's only cap: fits and a capped _min_cover add
+    # no size check of their own, so _search must meet no cover with as many
+    # sets as the barrier, not even the empty cover of an empty universe.
+    def test_empty_universe_under_barrier_zero(self):
+        family = _family([0b1], 1)
+        assert _search(0, family, 0, -1) is None
+        assert _search(0, family, -1, -1) is None
+        assert _search(0, family, 1, -1) == ()
+
+    def test_random_families(self):
+        rng = random.Random(14)
+        for trial in range(400):
+            width = rng.randrange(0, 9)
+            cands = [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(rng.randrange(1, 8))]
+            held = 0
+            for c in cands:
+                held |= c
+            cands[-1] |= ((1 << width) - 1) & ~held
+            family = _family(cands, width)
+            universe = 0 if trial % 4 == 0 else rng.getrandbits(width)
+            elements = TestPackingBound.elements
+            size = brute_min_cover(elements(universe), [elements(c) for c in cands])
+            for barrier in range(-2, size + 2):
+                for goal in (-1, barrier - 1):
+                    found = _search(universe, family, barrier, goal)
+                    if found is None:
+                        assert size >= barrier, (trial, barrier, goal)
+                        continue
+                    assert len(found) < barrier and list(found) == sorted(set(found))
+                    covered = 0
+                    for i in found:
+                        covered |= cands[i]
+                    assert universe & ~covered == 0
+                    if goal == -1:  # an exhaustive search ends on a minimum cover
+                        assert len(found) == size
 
 
 class TestFits:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from itertools import combinations
@@ -27,7 +28,7 @@ from compnum import (
     verify_realization,
 )
 from compnum.covers import _Cliques
-from oracles import has_triangle, is_connected
+from oracles import has_triangle, is_connected, level_node_counts
 
 
 class TestCompetitionGraph:
@@ -222,6 +223,15 @@ class TestFindRealization:
             assert w.ordering == ordering
         with pytest.raises(BudgetExceededError):
             find_realization(g, k, budget=nodes - 1)
+
+    def test_node_counts_of_every_small_labeled_graph_are_pinned(self, graphs_up_to_3, graphs_4, graphs_5):
+        # The same pin over every labeled graph with 1 <= n <= 5 at every level
+        # 0..k(G), each count read through the budget alone (oracles.least_budget).
+        counts = [level_node_counts(g) for g in graphs_up_to_3 + graphs_4 + graphs_5 if g.n]
+        assert len(counts) == 1099
+        assert sum(map(sum, counts)) == 28662
+        digest = hashlib.sha256(repr(counts).encode()).hexdigest()
+        assert digest == "c91ce50d82a971b4fe306edb683dd76beddef5645b4bd108fad16b6423565a7f"
 
 
     def test_tail_pruning_keeps_every_answer_and_witness(
