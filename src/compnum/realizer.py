@@ -159,13 +159,24 @@ def verify_realization(g: Graph, k: int, d: Digraph) -> Verification:
 # that hold no realization, so the exploration meets the same first witness,
 # in fewer nodes.
 #
-# Two memos keep any question from being asked twice.  ``dead`` holds every
-# state (placed, covered) whose subtree was exhausted or cut, including the
-# leaves whose residual edges need more than k cliques: every refusal takes
-# the node's one exit, which marks its state.  ``feeders_of`` reads
-# only the placed mask: it returns the prefix's feeder cliques when the tail
-# inequality holds and None when it fails, and it is asked only after the
-# packing test passes.
+# Three memos keep any question from being asked twice.  ``dead`` holds
+# every state (placed, covered) whose subtree was exhausted or cut, including
+# the leaves whose residual edges need more than k cliques: every refusal
+# takes the node's one exit, which marks its state.  ``bound_of`` maps a
+# covered mask to its residual's packing bound.  The residual is the edges
+# outside the covered mask, whatever the placed mask or the depth, so the
+# key is the covered mask alone and each residual is counted once per level;
+# only the open slots it is compared with change from node to node.
+# ``feeders_of`` reads only the placed mask: it returns the prefix's feeder
+# cliques when the tail inequality holds and None when it fails, and it is
+# asked only after the packing test passes.  A leaf that passes the packing
+# test asks ``fits`` first, which stops at the first cover within k, and
+# asks for the cover itself only when one exists.
+#
+# A node is counted by its parent, before the parent looks its state up in
+# ``dead``, and a dead child is skipped without a call; the root is counted
+# before the first call.  So the budget sees every node in the order the
+# exploration meets it, a dead one included.
 
 
 def find_realization(
@@ -191,41 +202,47 @@ def find_realization(
             return None
         return t.within(placed) if placed.bit_count() >= 2 else [((), 0)]
 
-    nodes = 0
+    spent = f"node budget of {budget} exhausted"
     dead: set[tuple[int, int]] = set()
+    bound_of: dict[int, int] = {}
     order: list[int] = []
     chosen: list[tuple[int, ...]] = []
 
     def extend(placed: int, covered: int) -> RealizationWitness | None:
         nonlocal nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExceededError(f"node budget of {budget} exhausted")
-        key = (placed, covered)
-        if key in dead:
-            return None
         residual = all_edges & ~covered
+        if (bound := bound_of.get(covered)) is None:
+            bound = bound_of[covered] = t.packing_bound(residual)
         # Feeder cliques only arrive at positions 3..n; count those still open.
         slots = max(0, n - max(len(order), 2))
-        if slots + k >= t.packing_bound(residual):
+        if slots + k >= bound:
             if len(order) == n:
-                if (found := t.cover(residual, k)) is not None:
+                if t.fits(residual, k) and (found := t.cover(residual, k)) is not None:
                     return _assemble(g, k, order, chosen + [t.cliques[i] for i in found[1]])
             elif (feeders := feeders_of(placed)) is not None:
                 for v in range(n):
                     if placed >> v & 1 or (len(order) == 1 and v < order[0]):
                         continue  # placed already, or the first two are interchangeable
+                    child = placed | 1 << v
                     order.append(v)
                     for members, mask in feeders:
+                        nodes += 1
+                        if budget is not None and nodes > budget:
+                            raise BudgetExceededError(spent)
+                        if (child, covered | mask) in dead:
+                            continue
                         chosen.append(members)
-                        witness = extend(placed | 1 << v, covered | mask)
+                        witness = extend(child, covered | mask)
                         if witness is not None:
                             return witness
                         chosen.pop()
                     order.pop()
-        dead.add(key)
+        dead.add((placed, covered))
         return None
 
+    nodes = 1  # the root
+    if budget is not None and nodes > budget:
+        raise BudgetExceededError(spent)
     return extend(0, 0)
 
 

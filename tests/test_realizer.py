@@ -259,6 +259,32 @@ class TestFindRealization:
         for g, k, pruned in cases:
             assert find_realization(g, k) == pruned, (g.edges(), k)
 
+    def test_each_cover_question_is_asked_once_per_level(
+        self, graphs_up_to_3, graphs_4, graphs_5, monkeypatch
+    ):
+        # Within one level's search, no residual edge mask is packing-bounded
+        # twice, and a leaf asks for the cover itself only when it holds the
+        # witness the search returns.
+        cases = [
+            (g, k) for g in graphs_up_to_3 + graphs_4 + graphs_5 if g.n
+            for k in range(competition_number(g)[0] + 1)
+        ]
+        cases.append((parse_graph6("KEcF`]jd_OJ@"), 1))
+        bounded, covered = [], []
+        packing_bound, cover = _Cliques.packing_bound, _Cliques.cover
+        monkeypatch.setattr(
+            _Cliques, "packing_bound", lambda self, edges: bounded.append(edges) or packing_bound(self, edges)
+        )
+        monkeypatch.setattr(
+            _Cliques, "cover", lambda self, edges, cap=None: covered.append(edges) or cover(self, edges, cap)
+        )
+        for g, k in cases:
+            bounded.clear()
+            covered.clear()
+            w = find_realization(g, k)
+            assert len(bounded) == len(set(bounded)), (g.edges(), k)
+            assert len(covered) == (w is not None), (g.edges(), k)
+
     def test_witness_on_63_vertices(self):
         g = path_graph(62)
         w = find_realization(g, 1)
@@ -323,6 +349,31 @@ class TestCompetitionNumber:
             k, w = competition_number(g, start_k=0)
             assert k == g.edge_count - g.n + 2, g.edges()
             assert verify_realization(g, k, w.digraph)
+
+    # bench/workloads.py's exact corpus, as graph6
+    EXACT_START0 = r"""
+        GGeO?C G?aC?? GVGAO_ GCWEQK GDIweo G?GPSG GW^bAg GMJm{o GoFCao GNFjOw
+        GZaw^[ Gc_HSc IOeO@w?`? IABSVb|rg IH?GgLABO IG?ce_k_? I_{hh@G`?
+        IFa_]`_?O IlluBh@jo IL{TQY]IG IdBSuQaB? Ig\yllARw Iaf?Mt]nG IXbTBf`RG
+        KASCE@g_Wf?C K?yFWCep?LkM K?o|fHvh@Guz K_yw@b`EQ`sF KSoiy?IOA\NO
+        KM@O@XaJ?OEC KeKV?EWvQNPk KuvuLKDSBYOp KTdF^rKLyTSK KEPK][kGYMQs
+        Ks?IT\zBEP~K KI?~FM|`Aw}^ G~cOJ[ GYUS{c HoUO{?R HjF[XSV IBlE?G@[?
+        I?Z_yoIMW GhCGKC GhCGGC GFzf~w
+    """.split()
+
+    def test_answers_on_the_exact_corpus_are_pinned(self):
+        # Every solved input's witness bytes and every exhausted input's
+        # lower bound, from k = 0 with a budget of 20,000 nodes per level.
+        assert len(self.EXACT_START0) == 45
+        parts = []
+        for text in self.EXACT_START0:
+            try:
+                parts.append(competition_number(parse_graph6(text), start_k=0, budget=20000)[1].to_arc_list())
+            except BudgetExceededError as err:
+                parts.append(f"k >= {err.lower_bound}\n")
+        assert sum(p.startswith("digraph") for p in parts) == 40
+        digest = hashlib.sha256("".join(parts).encode()).hexdigest()
+        assert digest == "18feb2f7ad0bb1e20890e3fe1e99892df014950fc4d5f9f1fed7ce1820b946b7"
 
     def test_start_k_is_a_starting_point(self):
         assert competition_number(cycle_graph(4), start_k=0)[0] == 2
