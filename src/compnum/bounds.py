@@ -31,11 +31,9 @@ The only n-subset is V, scanned in full even when pruned, so the m = n term
 is theta_e - n + 1.  The tests check both identities and both read-offs
 against opsut_edge_bound and opsut_vertex_bound, which count their own covers.
 
-One report keeps one table from each incident-edge mask to a proven lower
-bound on its cover, of three kinds: the packing bound, met on the mask's
-first visit; the cap plus one, once a capped search refutes the cap; and the
-cover number itself, once a search finds it.  Masks repeat across subsets
-and across m, so each is bounded once and searched at most once per cap.  A
+Every cover question goes to the graph's cover oracle, covers._Cliques,
+whose table of proven cover bounds the scans at every m share, and share
+with the realizer when competition_number hands the same oracle on.  A
 subset of size m is a head of size m - 1 plus one larger vertex, and
 incident(U) contains incident(head); the cover number only grows with the
 mask, so a head bounded above the cap rules out all of its extensions.
@@ -49,6 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import inf
 
 from .covers import _Cliques, edge_clique_cover_number
 from .graphs import Graph
@@ -104,9 +103,7 @@ def opsut_vertex_bound(g: Graph) -> int:
     return min(t.vertex_cover_number(sum(1 << u for u in g.neighbors(v))) for v in range(g.n))
 
 
-def _scan(
-    g: Graph, t: _Cliques, m: int, known: dict[int, tuple[int, bool]], floor: int | None = None
-) -> tuple[BoundTerm, bool]:
+def _scan(g: Graph, t: _Cliques, m: int, floor: int | None = None) -> tuple[BoundTerm, bool]:
     """The m-th term with its lexicographically first minimizing subset.
 
     A subset only matters if it beats the running minimum ``best``, that is
@@ -118,22 +115,21 @@ def _scan(
     one.  Only strictly smaller values replace the minimum, so the value and
     the subset are those of the literal scan.
 
-    ``known`` maps an incident-edge mask to a proven lower bound on its cover
-    and whether that bound is exact.  A mask first gets its packing bound; a
-    capped search that finds no cover raises it to the cap plus one, and one
-    that finds a cover makes it exact.  A subset whose mask is bounded above
-    the cap needs no search.  The subsets are walked as (m-1)-subsets, the
-    heads, each extended by every larger vertex, which is lexicographic
-    order.  incident(U) contains incident(head) and the cover number only
-    grows with the mask, while the cap only falls, so once the table bounds a
-    head's mask above the cap, every extension of it is skipped unsearched.
+    Each incident-edge mask is entered in the oracle's table at its packing
+    bound on its first visit, and a subset whose mask the table bounds above
+    the cap needs no search; one whose cover number the table holds needs
+    none either.  The subsets are walked as (m-1)-subsets, the heads, each
+    extended by every larger vertex, which is lexicographic order.
+    incident(U) contains incident(head) and the cover number only grows with
+    the mask, while the cap only falls, so once the table bounds a head's
+    mask above the cap, every extension of it is skipped unsearched.
 
     With ``floor`` set, the scan stops as soon as the running minimum drops to
     it; the second value says whether it stopped early.
     """
     best = argmin = None
     cap = g.edge_count
-    incident = t.incident
+    incident, known = t.incident, t.known
     for head in combinations(range(g.n), m - 1):
         edges = 0
         for u in head:
@@ -144,17 +140,15 @@ def _scan(
             mask = edges | incident[v]
             entry = known.get(mask)
             if entry is None:
-                entry = known[mask] = (t.packing_bound(mask), False)
-            cover, exact = entry
+                entry = known[mask] = (t.packing_bound(mask), inf)
+            cover, upper = entry
             if cover > cap:
                 continue
-            if not exact:
+            if cover != upper:
                 found = t.cover(mask, cap)
                 if found is None:
-                    known[mask] = (cap + 1, False)
                     continue
                 cover = found[0]
-                known[mask] = (cover, True)
             best, argmin, cap = cover - m + 1, head + (v,), cover - 1
             if floor is not None and best <= floor:
                 return BoundTerm(m, best, argmin), True
@@ -166,7 +160,7 @@ def general_bound_term(g: Graph, m: int) -> BoundTerm:
     _require_vertices(g)
     if not 1 <= m <= g.n:
         raise ValueError(f"m must be in 1..{g.n}, got {m}")
-    return _scan(g, _Cliques(g), m, {})[0]
+    return _scan(g, _Cliques(g), m)[0]
 
 
 def general_bound(g: Graph, prune: bool = False) -> BoundReport:
@@ -178,13 +172,16 @@ def general_bound(g: Graph, prune: bool = False) -> BoundReport:
     either way, and identical between pruned and unpruned runs.
     """
     _require_vertices(g)
-    t = _Cliques(g)
-    known: dict[int, tuple[int, bool]] = {}
+    return _general_bound(g, _Cliques(g), prune)
+
+
+def _general_bound(g: Graph, t: _Cliques, prune: bool) -> BoundReport:
+    """general_bound on the graph's cover oracle ``t``."""
     terms: list[BoundTerm] = []
     truncated: set[int] = set()
     best: int | None = None
     for m in range(1, g.n + 1):
-        term, cut = _scan(g, t, m, known, best if prune else None)
+        term, cut = _scan(g, t, m, best if prune else None)
         terms.append(term)
         if cut:
             truncated.add(m)

@@ -10,6 +10,7 @@ alike.
 from __future__ import annotations
 
 from itertools import combinations
+from math import inf
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graphs import Graph
@@ -245,8 +246,13 @@ def min_set_cover(inst: CoverInstance) -> tuple[int, tuple[int, ...]]:
 # -- clique cover numbers ------------------------------------------------------
 
 
+# the table entry of an edge mask not yet bounded: no bound either way
+_UNKNOWN = (0, inf)
+
+
 class _Cliques:
-    """The maximal cliques of one graph, laid out for the kernel.
+    """The maximal cliques of one graph, laid out for the kernel: the graph's
+    one cover oracle, shared by every question asked about that graph.
 
     Vertex v is bit v and edge i of ``g.edges()`` is bit i; no other code
     knows this.  ``cliques[j]`` has the masks ``vertex_masks[j]`` and
@@ -258,6 +264,17 @@ class _Cliques:
     a clique of G[S], and every clique of G[S] lies in some maximal C, hence
     in C & S.  So the maximal cliques of G[S] are the maximal nonempty
     traces, and S needs as many traces as cliques of G[S] to cover it.
+
+    ``known`` maps an edge mask to (lower, upper), proven bounds on the
+    fewest cliques covering it; the cover number is exact iff lower == upper.
+    lower is the packing bound, at which bounds._scan enters each mask it
+    meets, a refuted cap plus one, or the cover number itself; upper is the
+    size of a cover found, ``inf`` until one is.  A cover number depends on
+    the mask alone, so one table serves the bound report's subsets at every
+    m and the realizer's tail and leaf tests at every level: each mask is
+    bounded once and searched at most once per cap, and a question the
+    bounds already settle costs no search.  ``fits`` and ``cover`` are the
+    only searches that write it.
     """
 
     def __init__(self, g: Graph):
@@ -272,16 +289,36 @@ class _Cliques:
         for i, (u, v) in enumerate(edges):
             self.incident[u] |= 1 << i
             self.incident[v] |= 1 << i
+        self.known: dict[int, tuple[int, float]] = {}
+        self._within: dict[int, list[tuple[tuple[int, ...], int]]] = {}
 
     def cover(self, edges: int, cap: int | None = None) -> tuple[int, tuple[int, ...]] | None:
-        """Fewest cliques covering the edge mask, as _min_cover reports it."""
-        return _min_cover(edges, self.edge_family, cap)
+        """Fewest cliques covering the edge mask, as _min_cover reports it, by
+        one search whose outcome the table keeps."""
+        found = _min_cover(edges, self.edge_family, cap)
+        if found is None:
+            self.known[edges] = (cap + 1, self.known.get(edges, _UNKNOWN)[1])
+        else:
+            self.known[edges] = (found[0], found[0])
+        return found
 
     def fits(self, edges: int, cap: int) -> bool:
         """Whether at most ``cap`` cliques cover the edge mask, as ``cover(edges,
-        cap) is not None`` answers, but with no greedy start and stopping at the
-        first cover within the cap, which the barrier ``cap + 1`` alone enforces."""
-        return _search(edges, self.edge_family, cap + 1, cap) is not None
+        cap) is not None`` answers.  The table answers when its bounds settle
+        it; otherwise one search with no greedy start, stopping at the first
+        cover within the cap (the barrier ``cap + 1`` alone enforces it),
+        answers, and the table keeps its outcome."""
+        lower, upper = self.known.get(edges, _UNKNOWN)
+        if upper <= cap:
+            return True
+        if lower > cap:
+            return False
+        found = _search(edges, self.edge_family, cap + 1, cap)
+        if found is None:
+            self.known[edges] = (cap + 1, upper)
+            return False
+        self.known[edges] = (lower, len(found))
+        return True
 
     def edges_at(self, vertices: int) -> int:
         """The mask of the edges with an end in the vertex mask."""
@@ -299,12 +336,16 @@ class _Cliques:
 
     def within(self, vertices: int) -> list[tuple[tuple[int, ...], int]]:
         """The maximal cliques of G[S] for the vertex mask of S, as (members,
-        edge mask), sorted by members as maximal_cliques(G[S]) sorts them."""
-        leaving = self.edges_at(((1 << len(self.incident)) - 1) & ~vertices)
-        pairs = zip(self.vertex_masks, self.edge_masks)
-        traces = {c & vertices: e & ~leaving for c, e in pairs if c & vertices}
-        maximal = [t for t in traces if not any(t != s and t & s == t for s in traces)]
-        return sorted((tuple(_bits(t)), traces[t]) for t in maximal)
+        edge mask), sorted by members as maximal_cliques(G[S]) sorts them.
+        Each S is worked out once; callers must not mutate the list."""
+        found = self._within.get(vertices)
+        if found is None:
+            leaving = self.edges_at(((1 << len(self.incident)) - 1) & ~vertices)
+            pairs = zip(self.vertex_masks, self.edge_masks)
+            traces = {c & vertices: e & ~leaving for c, e in pairs if c & vertices}
+            maximal = [t for t in traces if not any(t != s and t & s == t for s in traces)]
+            found = self._within[vertices] = sorted((tuple(_bits(t)), traces[t]) for t in maximal)
+        return found
 
 
 def edge_clique_cover_number(g: Graph) -> int:

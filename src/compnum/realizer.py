@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .bounds import general_bound
+from .bounds import _general_bound
 from .covers import _Cliques
 from .graphs import CycleError, Digraph, Graph, _arc_order, _predators, write_arc_list, write_dot
 
@@ -159,19 +159,27 @@ def verify_realization(g: Graph, k: int, d: Digraph) -> Verification:
 # that hold no realization, so the exploration meets the same first witness,
 # in fewer nodes.
 #
-# Three memos keep any question from being asked twice.  ``dead`` holds
-# every state (placed, covered) whose subtree was exhausted or cut, including
-# the leaves whose residual edges need more than k cliques: every refusal
-# takes the node's one exit, which marks its state.  ``bound_of`` maps a
-# covered mask to its residual's packing bound.  The residual is the edges
-# outside the covered mask, whatever the placed mask or the depth, so the
-# key is the covered mask alone and each residual is counted once per level;
-# only the open slots it is compared with change from node to node.
+# Memos keep any question from being asked twice.  Three live for one level
+# (one _find_realization call), because their answers depend on k.  ``dead``
+# holds every state (placed, covered) whose subtree was exhausted or cut,
+# including the leaves whose residual edges need more than k cliques: every
+# refusal takes the node's one exit, which marks its state.  ``bound_of``
+# maps a covered mask to its residual's packing bound.  The residual is the
+# edges outside the covered mask, whatever the placed mask or the depth, so
+# the key is the covered mask alone and each residual is counted once per
+# level; only the open slots it is compared with change from node to node.
 # ``feeders_of`` reads only the placed mask: it returns the prefix's feeder
 # cliques when the tail inequality holds and None when it fails, and it is
 # asked only after the packing test passes.  A leaf that passes the packing
 # test asks ``fits`` first, which stops at the first cover within k, and
 # asks for the cover itself only when one exists.
+#
+# Two memos live for the whole graph, on its cover oracle (covers._Cliques),
+# because neither depends on k: the table of proven cover bounds, which
+# answers a tail or leaf ``fits`` that an earlier level, or the bound phase,
+# already settled, and ``within``, the prefix's feeder cliques.
+# competition_number builds the oracle once and hands it to the bound phase
+# and to every level; a find_realization call on its own builds a fresh one.
 #
 # A node is counted by its parent, before the parent looks its state up in
 # ``dead``, and a dead child is skipped without a call; the root is counted
@@ -191,9 +199,16 @@ def find_realization(
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
+    return _find_realization(g, _Cliques(g), k, budget)
+
+
+def _find_realization(g: Graph, t: _Cliques, k: int, budget: int | None) -> RealizationWitness | None:
+    """find_realization on the graph's cover oracle ``t``."""
     n = g.n
     all_edges = (1 << g.edge_count) - 1
-    t = _Cliques(g)
+    # Feeder cliques only arrive at positions 3..n: the slots still open
+    # once ``depth`` vertices are placed.
+    open_slots = tuple(max(0, n - max(depth, 2)) for depth in range(n + 1))
 
     @functools.cache
     def feeders_of(placed: int) -> list[tuple[tuple[int, ...], int]] | None:
@@ -213,9 +228,7 @@ def find_realization(
         residual = all_edges & ~covered
         if (bound := bound_of.get(covered)) is None:
             bound = bound_of[covered] = t.packing_bound(residual)
-        # Feeder cliques only arrive at positions 3..n; count those still open.
-        slots = max(0, n - max(len(order), 2))
-        if slots + k >= bound:
+        if open_slots[len(order)] + k >= bound:
             if len(order) == n:
                 if t.fits(residual, k) and (found := t.cover(residual, k)) is not None:
                     return _assemble(g, k, order, chosen + [t.cliques[i] for i in found[1]])
@@ -275,15 +288,13 @@ def competition_number(
     """
     if g.n == 0:
         raise ValueError("competition number of the empty graph is not defined here")
-    if start_k is not None:
-        if start_k < 0:
-            raise ValueError(f"start_k must be nonnegative, got {start_k}")
-        k = start_k
-    else:
-        k = max(0, general_bound(g, prune=True).general)
+    if start_k is not None and start_k < 0:
+        raise ValueError(f"start_k must be nonnegative, got {start_k}")
+    t = _Cliques(g)
+    k = max(0, _general_bound(g, t, prune=True).general) if start_k is None else start_k
     while True:
         try:
-            witness = find_realization(g, k, budget=budget)
+            witness = _find_realization(g, t, k, budget)
         except BudgetExceededError as err:
             raise BudgetExceededError(str(err), lower_bound=k) from None
         if witness is not None:

@@ -21,7 +21,7 @@ from compnum import (
     restricted_edge_cover_number,
     vertex_clique_cover_number,
 )
-from compnum.covers import _Cliques, _family, _packing_bound, _search
+from compnum.covers import _Cliques, _family, _min_cover, _packing_bound, _search
 from oracles import (
     adjacency_masks,
     brute_edge_cover_number,
@@ -309,6 +309,28 @@ class TestFits:
             t = _Cliques(g)
             edges = rng.getrandbits(g.edge_count)
             self.assert_fits_agrees(t, edges)
+
+    def test_a_shared_table_answers_as_a_fresh_search(self):
+        # One oracle takes a random run of questions, on repeated masks with
+        # caps that rise and fall around each cover number, and both the
+        # realizer's existence question and the bound report's capped cover;
+        # every answer must be the kernel's on a second oracle, whose table
+        # no answer reads.
+        rng = random.Random(1982)
+        for trial in range(80):
+            g = random_graphs(rng.randrange(2, 11), rng.choice([0.3, 0.5, 0.7]), trial, 1)[0]
+            shared, fresh = _Cliques(g), _Cliques(g)
+            masks = [rng.getrandbits(g.edge_count) for _ in range(3)]
+            masks.append(shared.edges_at(rng.getrandbits(g.n)))
+            sizes = {edges: _min_cover(edges, fresh.edge_family)[0] for edges in masks}
+            for _ in range(30):
+                edges = rng.choice(masks)
+                cap = sizes[edges] + rng.randrange(-2, 2)
+                if rng.random() < 0.75:
+                    expected = _search(edges, fresh.edge_family, cap + 1, cap) is not None
+                    assert shared.fits(edges, cap) == expected, (trial, edges, cap)
+                else:
+                    assert shared.cover(edges, cap) == _min_cover(edges, fresh.edge_family, cap)
 
 
 class TestCoverNumbers:

@@ -27,7 +27,7 @@ from compnum import (
     random_graphs,
     verify_realization,
 )
-from compnum.covers import _Cliques
+from compnum.covers import _Cliques, _search
 from oracles import has_triangle, is_connected, level_node_counts
 
 
@@ -374,6 +374,45 @@ class TestCompetitionNumber:
         assert sum(p.startswith("digraph") for p in parts) == 40
         digest = hashlib.sha256("".join(parts).encode()).hexdigest()
         assert digest == "18feb2f7ad0bb1e20890e3fe1e99892df014950fc4d5f9f1fed7ce1820b946b7"
+
+    def test_the_bound_phase_changes_no_outcome_on_the_exact_corpus(self):
+        # With start_k None the bound phase fills the oracle's table before
+        # the first level runs, and its entries answer the levels' tail tests;
+        # each outcome must be the one the search from k = 0 reaches.
+        def outcome(g, start_k):
+            try:
+                k, witness = competition_number(g, start_k=start_k, budget=20000)
+            except BudgetExceededError as err:
+                return f"k >= {err.lower_bound}"
+            return k, witness.to_arc_list()
+
+        for text in self.EXACT_START0:
+            g = parse_graph6(text)
+            assert outcome(g, None) == outcome(g, 0), text
+
+    def test_no_existence_search_repeats_within_one_solve(
+        self, graphs_up_to_3, graphs_4, graphs_5, monkeypatch
+    ):
+        # The bound phase and every level ask one cover oracle, whose table
+        # keeps each existence search's outcome, so within one solve no
+        # (universe, barrier) is searched for a cover within a cap twice.
+        # Minimum searches (goal -1) may repeat: a later, larger cap on the
+        # same mask can meet the same greedy barrier.
+        asked = []
+
+        def spy(universe, family, barrier, goal):
+            if goal >= 0:
+                asked.append((universe, barrier))
+            return _search(universe, family, barrier, goal)
+
+        monkeypatch.setattr("compnum.covers._search", spy)
+        graphs = [g for g in graphs_up_to_3 + graphs_4 + graphs_5 if g.n]
+        graphs += [parse_graph6("HoUO{?R"), parse_graph6("KEcF`]jd_OJ@")]
+        for g in graphs:
+            for start_k in (0, None):
+                asked.clear()
+                competition_number(g, start_k=start_k)
+                assert len(asked) == len(set(asked)), (g.edges(), start_k)
 
     def test_start_k_is_a_starting_point(self):
         assert competition_number(cycle_graph(4), start_k=0)[0] == 2
