@@ -32,8 +32,8 @@ is theta_e - n + 1.  The tests check both identities and both read-offs
 against opsut_edge_bound and opsut_vertex_bound, which count their own covers.
 
 Every cover question goes to the graph's cover oracle, covers._Cliques,
-whose table of proven cover bounds the scans at every m share, and share
-with the realizer when competition_number hands the same oracle on.  A
+looked up from the graph, so the scans at every m share its table of proven
+cover bounds with each other and with the realizer's levels.  A
 subset of size m is a head of size m - 1 plus one larger vertex, and
 incident(U) contains incident(head); the cover number only grows with the
 mask, so a head bounded above the cap rules out all of its extensions.
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import inf
 
-from .covers import _Cliques, edge_clique_cover_number
+from .covers import _oracle, edge_clique_cover_number
 from .graphs import Graph
 
 
@@ -99,11 +99,11 @@ def opsut_edge_bound(g: Graph) -> int:
 def opsut_vertex_bound(g: Graph) -> int:
     """Neighborhood-cover lower bound, 0 as soon as some vertex is isolated."""
     _require_vertices(g)
-    t = _Cliques(g)
+    t = _oracle(g)
     return min(t.vertex_cover_number(sum(1 << u for u in g.neighbors(v))) for v in range(g.n))
 
 
-def _scan(g: Graph, t: _Cliques, m: int, floor: int | None = None) -> tuple[BoundTerm, bool]:
+def _scan(g: Graph, m: int, floor: int | None = None) -> tuple[BoundTerm, bool]:
     """The m-th term with its lexicographically first minimizing subset.
 
     A subset only matters if it beats the running minimum ``best``, that is
@@ -129,6 +129,7 @@ def _scan(g: Graph, t: _Cliques, m: int, floor: int | None = None) -> tuple[Boun
     """
     best = argmin = None
     cap = g.edge_count
+    t = _oracle(g)
     incident, known = t.incident, t.known
     for head in combinations(range(g.n), m - 1):
         edges = 0
@@ -160,7 +161,7 @@ def general_bound_term(g: Graph, m: int) -> BoundTerm:
     _require_vertices(g)
     if not 1 <= m <= g.n:
         raise ValueError(f"m must be in 1..{g.n}, got {m}")
-    return _scan(g, _Cliques(g), m)[0]
+    return _scan(g, m)[0]
 
 
 def general_bound(g: Graph, prune: bool = False) -> BoundReport:
@@ -172,16 +173,11 @@ def general_bound(g: Graph, prune: bool = False) -> BoundReport:
     either way, and identical between pruned and unpruned runs.
     """
     _require_vertices(g)
-    return _general_bound(g, _Cliques(g), prune)
-
-
-def _general_bound(g: Graph, t: _Cliques, prune: bool) -> BoundReport:
-    """general_bound on the graph's cover oracle ``t``."""
     terms: list[BoundTerm] = []
     truncated: set[int] = set()
     best: int | None = None
     for m in range(1, g.n + 1):
-        term, cut = _scan(g, t, m, best if prune else None)
+        term, cut = _scan(g, m, best if prune else None)
         terms.append(term)
         if cut:
             truncated.add(m)

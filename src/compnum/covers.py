@@ -9,6 +9,7 @@ alike.
 
 from __future__ import annotations
 
+import functools
 from itertools import combinations
 from math import inf
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
@@ -252,7 +253,7 @@ _UNKNOWN = (0, inf)
 
 class _Cliques:
     """The maximal cliques of one graph, laid out for the kernel: the graph's
-    one cover oracle, shared by every question asked about that graph.
+    cover oracle, which every entry point looks up with ``_oracle(g)``.
 
     Vertex v is bit v and edge i of ``g.edges()`` is bit i; no other code
     knows this.  ``cliques[j]`` has the masks ``vertex_masks[j]`` and
@@ -271,10 +272,12 @@ class _Cliques:
     meets, a refuted cap plus one, or the cover number itself; upper is the
     size of a cover found, ``inf`` until one is.  A cover number depends on
     the mask alone, so one table serves the bound report's subsets at every
-    m and the realizer's tail and leaf tests at every level: each mask is
-    bounded once and searched at most once per cap, and a question the
-    bounds already settle costs no search.  ``fits`` and ``cover`` are the
-    only searches that write it.
+    m and the realizer's tail and leaf tests at every level, across calls:
+    each mask is bounded once and searched at most once per cap, and a
+    question the bounds already settle costs no search.  ``fits`` and
+    ``cover`` are the only searches that write it.  It is the only state
+    that outlives a call, and it decides only whether ``fits`` searches,
+    never what it answers, so an oracle's history changes no output.
     """
 
     def __init__(self, g: Graph):
@@ -290,7 +293,6 @@ class _Cliques:
             self.incident[u] |= 1 << i
             self.incident[v] |= 1 << i
         self.known: dict[int, tuple[int, float]] = {}
-        self._within: dict[int, list[tuple[tuple[int, ...], int]]] = {}
 
     def cover(self, edges: int, cap: int | None = None) -> tuple[int, tuple[int, ...]] | None:
         """Fewest cliques covering the edge mask, as _min_cover reports it, by
@@ -336,33 +338,35 @@ class _Cliques:
 
     def within(self, vertices: int) -> list[tuple[tuple[int, ...], int]]:
         """The maximal cliques of G[S] for the vertex mask of S, as (members,
-        edge mask), sorted by members as maximal_cliques(G[S]) sorts them.
-        Each S is worked out once; callers must not mutate the list."""
-        found = self._within.get(vertices)
-        if found is None:
-            leaving = self.edges_at(((1 << len(self.incident)) - 1) & ~vertices)
-            pairs = zip(self.vertex_masks, self.edge_masks)
-            traces = {c & vertices: e & ~leaving for c, e in pairs if c & vertices}
-            maximal = [t for t in traces if not any(t != s and t & s == t for s in traces)]
-            found = self._within[vertices] = sorted((tuple(_bits(t)), traces[t]) for t in maximal)
-        return found
+        edge mask), sorted by members as maximal_cliques(G[S]) sorts them."""
+        leaving = self.edges_at(((1 << len(self.incident)) - 1) & ~vertices)
+        pairs = zip(self.vertex_masks, self.edge_masks)
+        traces = {c & vertices: e & ~leaving for c, e in pairs if c & vertices}
+        maximal = [t for t in traces if not any(t != s and t & s == t for s in traces)]
+        return sorted((tuple(_bits(t)), traces[t]) for t in maximal)
+
+
+# The only place an oracle is built: every entry point looks its graph's up
+# here.  Graph is immutable and hashable, and the table is the one state an
+# oracle keeps between calls, so one slot serves a survey row, a solve's bound
+# phase and levels, and a budget bisection alike.
+_oracle = functools.lru_cache(maxsize=1)(_Cliques)
 
 
 def edge_clique_cover_number(g: Graph) -> int:
     """Minimum number of cliques covering every edge; 0 if there are none."""
-    return _Cliques(g).cover((1 << g.edge_count) - 1)[0]
+    return _oracle(g).cover((1 << g.edge_count) - 1)[0]
 
 
 def edge_clique_cover(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Minimum edge clique cover, reported as (size, indices into
     maximal_cliques(g))."""
-    t = _Cliques(g)
-    return _certified_cover((1 << g.edge_count) - 1, t.edge_family)
+    return _certified_cover((1 << g.edge_count) - 1, _oracle(g).edge_family)
 
 
 def vertex_clique_cover_number(g: Graph) -> int:
     """Minimum number of cliques containing every vertex; 0 for n = 0."""
-    return _Cliques(g).vertex_cover_number((1 << g.n) - 1)
+    return _oracle(g).vertex_cover_number((1 << g.n) - 1)
 
 
 def restricted_edge_cover_number(g: Graph, edge_subset: Iterable[tuple[int, int]]) -> int:
@@ -371,7 +375,7 @@ def restricted_edge_cover_number(g: Graph, edge_subset: Iterable[tuple[int, int]
     Cliques may cover edges outside the subset; only the subset must be hit.
     """
     edges = frozenset(tuple(sorted(e)) for e in edge_subset)
-    t = _Cliques(g)
+    t = _oracle(g)
     stray = edges - t.bit.keys()
     if stray:
         raise ValueError(f"{min(stray)} is not an edge of the host graph")

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .bounds import _general_bound
-from .covers import _Cliques
+from .bounds import general_bound
+from .covers import _oracle
 from .graphs import CycleError, Digraph, Graph, _arc_order, _predators, write_arc_list, write_dot
 
 
@@ -160,7 +160,7 @@ def verify_realization(g: Graph, k: int, d: Digraph) -> Verification:
 # in fewer nodes.
 #
 # Memos keep any question from being asked twice.  Three live for one level
-# (one _find_realization call), because their answers depend on k.  ``dead``
+# (one find_realization call), because their answers depend on k.  ``dead``
 # holds every state (placed, covered) whose subtree was exhausted or cut,
 # including the leaves whose residual edges need more than k cliques: every
 # refusal takes the node's one exit, which marks its state.  ``bound_of``
@@ -174,12 +174,14 @@ def verify_realization(g: Graph, k: int, d: Digraph) -> Verification:
 # test asks ``fits`` first, which stops at the first cover within k, and
 # asks for the cover itself only when one exists.
 #
-# Two memos live for the whole graph, on its cover oracle (covers._Cliques),
-# because neither depends on k: the table of proven cover bounds, which
-# answers a tail or leaf ``fits`` that an earlier level, or the bound phase,
-# already settled, and ``within``, the prefix's feeder cliques.
-# competition_number builds the oracle once and hands it to the bound phase
-# and to every level; a find_realization call on its own builds a fresh one.
+# One memo lives for the whole graph, on its cover oracle (covers._Cliques),
+# because it does not depend on k: the table of proven cover bounds, which
+# answers a tail or leaf ``fits`` that an earlier level, an earlier call or
+# the bound phase already settled.  Each level looks the oracle up from the
+# graph, so the bound phase and every level of a solve share it.  Sharing it
+# across calls is safe: the table holds only proven bounds, and it decides
+# whether ``fits`` searches, never what it answers, so no witness, answer or
+# node count depends on what was asked before.
 #
 # A node is counted by its parent, before the parent looks its state up in
 # ``dead``, and a dead child is skipped without a call; the root is counted
@@ -199,11 +201,7 @@ def find_realization(
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    return _find_realization(g, _Cliques(g), k, budget)
-
-
-def _find_realization(g: Graph, t: _Cliques, k: int, budget: int | None) -> RealizationWitness | None:
-    """find_realization on the graph's cover oracle ``t``."""
+    t = _oracle(g)
     n = g.n
     all_edges = (1 << g.edge_count) - 1
     # Feeder cliques only arrive at positions 3..n: the slots still open
@@ -290,11 +288,10 @@ def competition_number(
         raise ValueError("competition number of the empty graph is not defined here")
     if start_k is not None and start_k < 0:
         raise ValueError(f"start_k must be nonnegative, got {start_k}")
-    t = _Cliques(g)
-    k = max(0, _general_bound(g, t, prune=True).general) if start_k is None else start_k
+    k = max(0, general_bound(g, prune=True).general) if start_k is None else start_k
     while True:
         try:
-            witness = _find_realization(g, t, k, budget)
+            witness = find_realization(g, k, budget)
         except BudgetExceededError as err:
             raise BudgetExceededError(str(err), lower_bound=k) from None
         if witness is not None:

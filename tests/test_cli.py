@@ -15,7 +15,7 @@ from compnum import (
     verify_realization,
     write_graph6,
 )
-from compnum import cli
+from compnum import cli, covers
 from compnum.cli import main
 from compnum.graphs import MAX_ENUMERATION_VERTICES, _canonical_key
 
@@ -318,6 +318,17 @@ class TestSurvey:
             fields = line.split(",")
             general, k_exact = int(fields[6]), int(fields[7])
             assert general <= k_exact
+
+    def test_one_oracle_per_class(self, capsys, monkeypatch):
+        # a row's bound report and its solve look up one oracle, so each of
+        # the 11 isomorphism classes on 4 vertices enumerates its cliques once
+        enumerated = []
+        maximal_cliques = covers.maximal_cliques
+        monkeypatch.setattr(covers, "maximal_cliques", lambda g: enumerated.append(g) or maximal_cliques(g))
+        covers._oracle.cache_clear()
+        code, _, _ = run_cli(capsys, "survey", "--all-labeled", "4", "--with-exact")
+        assert code == 0
+        assert len(enumerated) == 11
 
     def test_single_graph(self, capsys, tmp_path):
         src = tmp_path / "in.g6"

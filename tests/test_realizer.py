@@ -17,6 +17,7 @@ from compnum import (
     complete_multipartite_graph,
     cover_from_witness,
     cycle_graph,
+    edge_clique_cover_number,
     edgeless_graph,
     find_realization,
     general_bound,
@@ -27,8 +28,8 @@ from compnum import (
     random_graphs,
     verify_realization,
 )
-from compnum.covers import _Cliques, _search
-from oracles import has_triangle, is_connected, level_node_counts
+from compnum.covers import _Cliques, _oracle, _search
+from oracles import has_triangle, is_connected, least_budget, level_node_counts
 
 
 class TestCompetitionGraph:
@@ -413,6 +414,36 @@ class TestCompetitionNumber:
                 asked.clear()
                 competition_number(g, start_k=start_k)
                 assert len(asked) == len(set(asked)), (g.edges(), start_k)
+
+    def test_an_oracles_history_changes_nothing(self, graphs_up_to_3, graphs_4):
+        # The table of proven cover bounds outlives a call, so each question
+        # is asked once on a cleared lookup and once more on the oracle that
+        # every question about the same graph has warmed.
+        def witness(g):
+            k, w = competition_number(g)
+            return k, w.to_arc_list()
+
+        hard = parse_graph6("KEcF`]jd_OJ@")
+        for g in [g for g in graphs_up_to_3 + graphs_4 if g.n] + [hard]:
+            k = competition_number(g)[0]
+            questions = [
+                lambda: general_bound(g, prune=True),
+                lambda: general_bound(g),
+                lambda: edge_clique_cover_number(g),
+                lambda: witness(g),
+                lambda: least_budget(g, k),
+            ]
+            cold = []
+            for ask in questions:
+                _oracle.cache_clear()
+                cold.append(ask())
+            assert [ask() for ask in questions] == cold, g.edges()
+        assert k == 1 and cold[4] == 2777
+        _oracle.cache_clear()
+        with pytest.raises(BudgetExceededError):
+            find_realization(hard, 1, budget=2776)
+        _oracle.cache_clear()
+        assert find_realization(hard, 1, budget=2777) is not None
 
     def test_start_k_is_a_starting_point(self):
         assert competition_number(cycle_graph(4), start_k=0)[0] == 2
