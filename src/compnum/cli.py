@@ -23,7 +23,9 @@ from .graphs import (
     MAX_ENUMERATION_VERTICES,
     Graph,
     GraphParseError,
-    _canonical_key,
+    _graph6_rows,
+    _rows_graph,
+    _rows_key,
     all_labeled_graphs,
     generate,
     parse_arc_list,
@@ -181,10 +183,13 @@ def cmd_competition(args) -> int:
 # -- survey -------------------------------------------------------------------
 
 
-# Survey row values by isomorphism class: {canonical key: the columns
+# Survey row values by isomorphism class: {class key: the columns
 # theta_e..k_exact}.  Every one of them is an invariant, so a row of an
-# isomorphic input reuses them.  cmd_survey clears it, so --with-exact is
-# fixed for its lifetime; each --jobs worker keeps its own.
+# isomorphic input reuses them.  A row decodes its line to adjacency masks,
+# reads n and edges off them and keys its class from them (graphs._rows_key),
+# so it builds a Graph only to solve a class not yet here, or a graph with
+# no key.  cmd_survey clears it, so --with-exact is fixed for its lifetime;
+# each --jobs worker keeps its own.
 _ROW_MEMO: dict[tuple[int, int], dict] = {}
 
 
@@ -192,19 +197,20 @@ def _survey_row(task: tuple[str, bool, int | None]) -> dict:
     text, with_exact, budget = task
     started = time.perf_counter()
     try:
-        g = parse_graph6(text)
+        rows = _graph6_rows(text)
     except GraphParseError as err:
         return {"graph6": text, "error": str(err)}
     # Under a node budget the solver's node count, and so whether k_exact
     # is "?", depends on the labeling: such rows are solved as given.
-    key = _canonical_key(g) if budget is None or not with_exact else None
+    key = _rows_key(rows) if budget is None or not with_exact else None
     values = _ROW_MEMO.get(key)
     if values is None:
-        values = _row_values(g, with_exact, budget)
+        values = _row_values(_rows_graph(rows), with_exact, budget)
         if key is not None:
             _ROW_MEMO[key] = values
     millis = int((time.perf_counter() - started) * 1000)
-    return {"graph6": text, "n": g.n, "edges": g.edge_count, **values, "millis": millis}
+    edges = sum(map(int.bit_count, rows)) // 2
+    return {"graph6": text, "n": len(rows), "edges": edges, **values, "millis": millis}
 
 
 def _row_values(g: Graph, with_exact: bool, budget: int | None) -> dict:

@@ -157,13 +157,15 @@ def _search(universe: int, family: _Family, barrier: int, goal: int) -> tuple[in
 
 
 def _min_cover(
-    universe: int, family: _Family, cap: int | None = None
+    universe: int, family: _Family, cap: int | None = None, floor: int = 0
 ) -> tuple[int, tuple[int, ...]] | None:
     """Minimum cover of the bits of ``universe``: (size, sorted candidate
     indices), or None once every cover provably needs more than ``cap`` sets.
     Every bit of ``universe`` must have a holder.  The cap enters only as the
     first barrier, ``cap + 1``: the greedy start stops there, and the search
-    meets no cover that needs more."""
+    meets no cover that needs more.  ``floor`` is a proven lower bound on the
+    cover: a greedy cover that reaches it is minimum, and the search, which
+    would meet no smaller cover, is skipped."""
     cands = family.cands
     # greedy never picks a candidate twice, so uncapped it stays below this
     barrier = len(cands) + 1 if cap is None else cap + 1
@@ -178,6 +180,8 @@ def _min_cover(
         uncovered &= ~cands[best]
     if not uncovered and len(greedy) < barrier:
         found, barrier = tuple(sorted(greedy)), len(greedy)
+        if barrier <= floor:
+            return barrier, found
     better = _search(universe, family, barrier, -1)
     found = found if better is None else better
     return None if found is None else (len(found), found)
@@ -296,10 +300,12 @@ class _Cliques:
 
     def cover(self, edges: int, cap: int | None = None) -> tuple[int, tuple[int, ...]] | None:
         """Fewest cliques covering the edge mask, as _min_cover reports it, by
-        one search whose outcome the table keeps."""
-        found = _min_cover(edges, self.edge_family, cap)
+        one search whose outcome the table keeps; the table's lower bound is
+        the search's floor."""
+        lower, upper = self.known.get(edges, _UNKNOWN)
+        found = _min_cover(edges, self.edge_family, cap, lower)
         if found is None:
-            self.known[edges] = (cap + 1, self.known.get(edges, _UNKNOWN)[1])
+            self.known[edges] = (cap + 1, upper)
         else:
             self.known[edges] = (found[0], found[0])
         return found

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import heapq
 import random
-from itertools import combinations, permutations, product
-from math import factorial, prod
+from collections import deque
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 MAX_GRAPH6_VERTICES = 62
@@ -279,6 +279,13 @@ def parse_graph6(text: str) -> Graph:
 
     Errors name the byte offset of the first offending byte.
     """
+    return _rows_graph(_graph6_rows(text))
+
+
+def _graph6_rows(text: str) -> list[int]:
+    """The adjacency masks of the graph a graph6 string encodes, one per
+    vertex: bit u of ``rows[v]`` is set iff u and v are adjacent.  Raises
+    parse_graph6's errors."""
     s = text.rstrip("\r\n")
     if not s:
         raise GraphParseError("byte 0: empty graph6 string")
@@ -306,8 +313,23 @@ def parse_graph6(text: str) -> Graph:
     pad = 6 * nbytes - npairs  # below 6, so all padding sits in the last data byte
     if code & ((1 << pad) - 1):
         raise GraphParseError(f"byte {nbytes}: nonzero padding bit")
-    top = 6 * nbytes - 1
-    return Graph(n, [pair for k, pair in enumerate(_pair_order(n)) if code >> top - k & 1])
+    # column j holds the pairs (0, j) .. (j - 1, j), the first as its top bit
+    rows, left = [0] * n, 6 * nbytes
+    for j in range(1, n):
+        left -= j
+        column = code >> left & ((1 << j) - 1)
+        while column:
+            low = column & -column
+            i = j - low.bit_length()
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+            column ^= low
+    return rows
+
+
+def _rows_graph(rows: Sequence[int]) -> Graph:
+    """The graph with adjacency masks ``rows``."""
+    return Graph(len(rows), [(i, j) for j, row in enumerate(rows) for i in range(j) if row >> i & 1])
 
 
 def _pattern(adj: Sequence[frozenset[int]], order: Sequence[int]) -> int:
@@ -331,35 +353,133 @@ def write_graph6(g: Graph) -> str:
 
 
 # -- canonical form ----------------------------------------------------------
+#
+# The class key comes from individualization-refinement (McKay & Piperno
+# 2014) on adjacency masks: bit u of rows[v] is set iff u and v are adjacent,
+# and an ordered partition of the vertices is a list of cells, each a mask.
+#
+# Refinement splits every cell by its members' neighbour counts into every
+# cell, orders the sub-cells by that count vector, and repeats until no cell
+# splits: the partition is then equitable.  Within a cell made by the last
+# round, all members have equal counts into every cell that round did not
+# make, so a round counts only into the cells the last one made; the order of
+# those counts among a cell's members is the order of the whole vectors.
+#
+# Twins, two vertices with the same neighbours apart from each other, are
+# swapped by an automorphism that fixes every partition the search meets
+# while they share a cell.  So a cell of mutual twins never splits, any order
+# inside it gives the same code, and branching on a twin of a vertex already
+# tried repeats that branch's codes.  The search individualizes each vertex
+# of the first cell that is neither a singleton nor all twins, one per twin
+# class, as a singleton cell in front of the rest of that cell, and refines.
+# A leaf is a partition whose cells are singletons or twin cells, and its code
+# is the graph6 bit pattern under its order.  The tree, its leaf count
+# included, depends only on the isomorphism class, so its smallest leaf code
+# is a canonical form, and whether a graph is keyed depends only on its class.
 
-#: Most vertex orders _canonical_key tries.  6! keys every graph on at most
-#: 6 vertices, whatever its symmetry.
-_MAX_CELL_ORDERS = 720
+#: Most leaves the search tree of a keyed graph may have.  No graph on at
+#: most 6 vertices needs more than 12; C8, C10, K(4,4) and the Petersen graph
+#: need 16, 20, 2 and 120, and four disjoint 5-cycles 240,000.
+_MAX_LEAVES = 1000
 
 
-def _canonical_key(g: Graph) -> tuple[int, int] | None:
-    """``(n, code)``, equal for two graphs iff they are isomorphic, or None.
+def _refine(rows: Sequence[int], cells: list[int], fresh: list[int]) -> list[int]:
+    """The equitable refinement of ``cells``, whose cells ``fresh`` are the
+    ones made since it was last equitable (see above)."""
+    while fresh and len(cells) < len(rows):
+        out, made = [], []
+        for cell in cells:
+            if not cell & (cell - 1):
+                out.append(cell)
+                continue
+            low = cell & -cell
+            rest = cell ^ low
+            if rest & (rest - 1):
+                parts: dict[bytes, int] = {}
+                while cell:
+                    low = cell & -cell
+                    counts = bytes(map(int.bit_count, map(rows[low.bit_length() - 1].__and__, fresh)))
+                    parts[counts] = parts.get(counts, 0) | low
+                    cell ^= low
+                split = [parts[counts] for counts in sorted(parts)]
+            else:
+                # a pair, compared without grouping: 3 in 4 of the cells a
+                # round groups over all labeled 5- and 6-vertex graphs are
+                # pairs, and this path takes about a sixth off the key's time
+                first = bytes(map(int.bit_count, map(rows[low.bit_length() - 1].__and__, fresh)))
+                second = bytes(map(int.bit_count, map(rows[rest.bit_length() - 1].__and__, fresh)))
+                split = [cell] if first == second else [low, rest] if first < second else [rest, low]
+            out += split
+            if len(split) > 1:
+                made += split
+        cells, fresh = out, made
+    return cells
 
-    Colour refinement splits the vertices into cells by degree, then by the
-    colours of their neighbours, until the partition is stable; the cells
-    are ordered by an isomorphism-invariant rank.  Every order of the
-    vertices inside each cell is then tried, and ``code`` is the smallest
-    relabeled graph6 bit pattern, read as an integer.  When the cells admit
-    more than _MAX_CELL_ORDERS orders (C8, Petersen) the answer is None.
-    """
-    n, adj = g.n, g.adj
-    colour = [len(adj[v]) for v in range(n)]
-    while True:
-        signature = [(colour[v], tuple(sorted(colour[u] for u in adj[v]))) for v in range(n)]
-        rank = {s: i for i, s in enumerate(sorted(set(signature)))}
-        if len(rank) == len(set(colour)):
-            break
-        colour = [rank[s] for s in signature]
-    cells = [[v for v in range(n) if colour[v] == c] for c in sorted(set(colour))]
-    if prod(factorial(len(cell)) for cell in cells) > _MAX_CELL_ORDERS:
-        return None
-    orders = product(*(permutations(cell) for cell in cells))
-    return n, min(_pattern(adj, [v for part in parts for v in part]) for parts in orders)
+
+def _twins(rows: Sequence[int], cell: int, low: int) -> int:
+    """The members of ``cell`` that are twins of its member ``low``, itself
+    included: the same open or the same closed neighbourhood."""
+    row = rows[low.bit_length() - 1]
+    closed = row | low
+    twins, rest = 0, cell
+    while rest:
+        b = rest & -rest
+        other = rows[b.bit_length() - 1]
+        if other == row or other | b == closed:
+            twins |= b
+        rest ^= b
+    return twins
+
+
+def _leaf_code(rows: Sequence[int], cells: list[int]) -> int:
+    """The graph6 bit pattern under the order of the cells, read as an integer."""
+    order, code = [], 0
+    for cell in cells:
+        while cell:
+            low = cell & -cell
+            v = low.bit_length() - 1
+            row = rows[v]
+            for u in order:
+                code = code << 1 | row >> u & 1
+            order.append(v)
+            cell ^= low
+    return code
+
+
+def _rows_key(rows: Sequence[int]) -> tuple[int, int] | None:
+    """``(n, code)`` for the graph with adjacency masks ``rows``, equal for
+    two graphs iff they are isomorphic, or None: ``code`` is the smallest
+    leaf code of the search above, and None means the search tree has more
+    than _MAX_LEAVES leaves."""
+    degrees: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        d = row.bit_count()
+        degrees[d] = degrees.get(d, 0) | 1 << v
+    cells = [degrees[d] for d in sorted(degrees)]  # one refinement of [all]
+    # breadth first: every node still queued roots a subtree with a leaf of
+    # its own, so the tree has at least leaves + len(queue) leaves
+    queue = deque([(cells, cells)])
+    n, best, leaves = len(rows), None, 0
+    while queue:
+        cells = _refine(rows, *queue.popleft())
+        # the first cell to branch on; a leaf has none
+        for t, cell in enumerate(cells):
+            if cell & (cell - 1) and _twins(rows, cell, cell & -cell) != cell:
+                break
+        else:
+            leaves += 1
+            code = _leaf_code(rows, cells)
+            if best is None or code < best:
+                best = code
+            continue
+        left = cell
+        while left:
+            low = left & -left
+            left &= ~_twins(rows, cell, low)
+            queue.append((cells[:t] + [low, cell ^ low] + cells[t + 1:], [low, cell ^ low]))
+        if leaves + len(queue) > _MAX_LEAVES:
+            return None
+    return n, best
 
 
 # -- arc-list format ---------------------------------------------------------

@@ -17,7 +17,7 @@ from compnum import (
 )
 from compnum import cli, covers
 from compnum.cli import main
-from compnum.graphs import MAX_ENUMERATION_VERTICES, _canonical_key
+from compnum.graphs import MAX_ENUMERATION_VERTICES, Graph
 
 
 def run_cli(capsys, *argv):
@@ -330,6 +330,22 @@ class TestSurvey:
         assert code == 0
         assert len(enumerated) == 11
 
+    def test_a_known_class_builds_no_graph(self, capsys, monkeypatch):
+        # the generator builds the 64 labeled graphs; each row decodes its
+        # line to adjacency masks and keys it from them, so only the first
+        # row of each of the 11 classes builds a graph, to solve it
+        builds = []
+        init = Graph.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "__init__", counted)
+        code, _, _ = run_cli(capsys, "survey", "--all-labeled", "4", "--with-exact")
+        assert code == 0
+        assert len(builds) == 64 + 11
+
     def test_single_graph(self, capsys, tmp_path):
         src = tmp_path / "in.g6"
         src.write_text("Cl\n")
@@ -463,14 +479,20 @@ class TestSurvey:
                 k = "?"
             assert row["k_exact"] == k, row["graph6"]
 
-    def test_unkeyed_graphs_are_solved_directly(self, capsys, tmp_path):
+    def test_unkeyed_graphs_are_solved_directly(self, capsys, tmp_path, monkeypatch):
+        # C10 and Petersen are keyed; make every graph unkeyed, as one past
+        # the key's leaf bound is, and each row must be solved as given
+        monkeypatch.setattr(cli, "_rows_key", lambda rows: None)
+        solved = []
+        row_values = cli._row_values
+        monkeypatch.setattr(cli, "_row_values", lambda g, *args: solved.append(g) or row_values(g, *args))
         c10 = write_graph6(cycle_graph(10))
         petersen = "IheA@GUAo"
-        assert _canonical_key(parse_graph6(petersen)) is None
-        assert _canonical_key(cycle_graph(10)) is None
         src = tmp_path / "in.g6"
         src.write_text(f"{c10}\n{petersen}\n{c10}\n")
         rows = self.jsonl_rows(capsys, tmp_path, "--input", str(src), "--with-exact")
+        assert solved == [cycle_graph(10), parse_graph6(petersen), cycle_graph(10)]
+        assert not cli._ROW_MEMO
         c10_row = {"graph6": c10, "n": 10, "edges": 10, "theta_e": 10, "opsut_e": 2,
                    "opsut_v": 2, "general": 2, "k_exact": 2}
         petersen_row = {"graph6": petersen, "n": 10, "edges": 15, "theta_e": 15, "opsut_e": 7,

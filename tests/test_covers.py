@@ -1,6 +1,7 @@
 import hashlib
 import random
 from itertools import combinations
+from math import inf
 
 import pytest
 
@@ -21,6 +22,7 @@ from compnum import (
     restricted_edge_cover_number,
     vertex_clique_cover_number,
 )
+from compnum import covers
 from compnum.covers import _Cliques, _family, _min_cover, _packing_bound, _search
 from oracles import (
     adjacency_masks,
@@ -331,6 +333,35 @@ class TestFits:
                     assert shared.fits(edges, cap) == expected, (trial, edges, cap)
                 else:
                     assert shared.cover(edges, cap) == _min_cover(edges, fresh.edge_family, cap)
+
+
+class TestCoverFloor:
+    def test_a_greedy_cover_at_the_tables_bound_is_not_searched(self, monkeypatch):
+        # bounds._scan enters each mask at its packing bound.  A greedy start
+        # that reaches the table's lower bound is a minimum cover, so cover
+        # returns it with no search, and every answer is the fresh search's.
+        rng = random.Random(16)
+        calls = []
+        search = covers._search
+        monkeypatch.setattr(covers, "_search", lambda *args: calls.append(args) or search(*args))
+        skipped = searched = 0
+        for trial in range(60):
+            g = random_graphs(rng.randrange(4, 11), rng.choice([0.3, 0.5, 0.7]), trial, 1)[0]
+            t, fresh = _Cliques(g), _Cliques(g)
+            for _ in range(5):
+                edges = t.edges_at(rng.getrandbits(g.n))
+                size = _min_cover(edges, fresh.edge_family)[0]
+                cap = rng.choice([None, size - 1, size, size + 1])
+                expected = _min_cover(edges, fresh.edge_family, cap)
+                t.known[edges] = (t.packing_bound(edges), inf)
+                calls.clear()
+                assert t.cover(edges, cap) == expected, (trial, edges, cap)
+                if calls:
+                    searched += 1
+                else:
+                    assert expected[0] == t.packing_bound(edges), (trial, edges, cap)
+                    skipped += 1
+        assert skipped > 50 and searched > 50
 
 
 class TestCoverNumbers:

@@ -29,8 +29,9 @@ from compnum import (
     write_dot,
     write_graph6,
 )
-from compnum.graphs import _canonical_key
+from compnum import graphs
 from oracles import (
+    adjacency_masks,
     bitlist_parse_graph6,
     dense_tables,
     dense_topological_order,
@@ -38,6 +39,10 @@ from oracles import (
     inline_canonical_key,
     packer_write_graph6,
 )
+
+
+def class_key(g):
+    return graphs._rows_key(adjacency_masks(g))
 
 
 # -- graph6 --------------------------------------------------------------------
@@ -114,15 +119,14 @@ def outcome(fn, text):
 
 
 class TestGraph6AgainstBitLists:
-    """The graph6 codec and the canonical key share one bit pattern; they
-    must act exactly as the bit-list references in tests/oracles.py."""
+    """The graph6 codec must act exactly as the bit-list references in
+    tests/oracles.py."""
 
     @staticmethod
     def check_graph(g):
         text = write_graph6(g)
         assert text == packer_write_graph6(g)
         assert parse_graph6(text) == bitlist_parse_graph6(text) == g
-        assert _canonical_key(g) == inline_canonical_key(g)
 
     @staticmethod
     def check_text(text):
@@ -471,7 +475,7 @@ class TestCanonicalKey:
     def test_equal_keys_iff_isomorphic(self, n, classes):
         by_key = {}
         for g in all_labeled_graphs(n):
-            by_key.setdefault(_canonical_key(g), []).append(self.to_nx(g))
+            by_key.setdefault(class_key(g), []).append(self.to_nx(g))
         assert None not in by_key and len(by_key) == classes
         for members in by_key.values():
             assert all(nx.is_isomorphic(members[0], h) for h in members[1:])
@@ -485,14 +489,76 @@ class TestCanonicalKey:
         keyed = 0
         for seed in range(4):
             g = random_graph(n, p, seed=seed)
-            key = _canonical_key(g)
+            key = class_key(g)
             keyed += key is not None
             for _ in range(3):
                 perm = list(range(n))
                 rng.shuffle(perm)
                 h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
-                assert _canonical_key(h) == key
+                assert class_key(h) == key
         assert keyed  # the draws are not all too symmetric to key
 
+    @staticmethod
+    def relabeled(g, rng):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+    @staticmethod
+    def disjoint_copies(g, copies):
+        return Graph(g.n * copies, [(u + g.n * i, v + g.n * i) for i in range(copies) for u, v in g.edges()])
+
+    @pytest.mark.parametrize("n,classes", [(0, 1), (1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)])
+    def test_same_classes_as_the_reference_key(self, n, classes, monkeypatch):
+        # 12 leaves key every graph on at most 6 vertices (C6 needs them all)
+        monkeypatch.setattr(graphs, "_MAX_LEAVES", 12)
+        pairs = {(class_key(g), inline_canonical_key(g)) for g in all_labeled_graphs(n)}
+        keys, references = zip(*pairs)
+        assert None not in keys
+        assert len(set(keys)) == len(set(references)) == len(pairs) == classes
+
+    def test_seeded_draws_share_the_key_under_relabeling(self):
+        rng = random.Random(12)
+        keyed = 0
+        for _ in range(300):
+            g = random_graph(rng.randint(7, 62), rng.random(), seed=rng.randrange(10**6))
+            key = class_key(g)
+            keyed += key is not None
+            for _ in range(2):
+                assert class_key(self.relabeled(g, rng)) == key
+        assert keyed > 250
+
+    @pytest.mark.parametrize("name,g,leaves", [
+        ("C6", cycle_graph(6), 12),
+        ("C8", cycle_graph(8), 16),
+        ("C10", cycle_graph(10), 20),
+        ("K(4,4)", complete_multipartite_graph([4, 4]), 2),
+        ("Petersen", parse_graph6("IheA@GUAo"), 120),
+    ])
+    def test_symmetric_graphs_within_the_bound_are_keyed(self, name, g, leaves, monkeypatch):
+        key = class_key(g)
+        assert key is not None and key[0] == g.n
+        rng = random.Random(leaves)
+        assert all(class_key(self.relabeled(g, rng)) == key for _ in range(3))
+        # the search tree has exactly this many leaves
+        monkeypatch.setattr(graphs, "_MAX_LEAVES", leaves - 1)
+        assert class_key(g) is None
+        monkeypatch.setattr(graphs, "_MAX_LEAVES", leaves)
+        assert class_key(g) == key
+
     def test_highly_symmetric_graph_is_not_keyed(self):
-        assert _canonical_key(cycle_graph(8)) is None
+        # four disjoint 5-cycles: 20 * 2 * 15 * 2 * 10 * 2 * 5 * 2 leaves
+        g = self.disjoint_copies(cycle_graph(5), 4)
+        rng = random.Random(4)
+        assert class_key(g) is None
+        assert all(class_key(self.relabeled(g, rng)) is None for _ in range(3))
+
+    def test_a_graph_past_the_bound_is_refused_early(self, monkeypatch):
+        # every queued node holds a leaf of its own, so the search gives up
+        # before it has refined as many partitions as the bound allows leaves
+        refine, calls = graphs._refine, []
+        monkeypatch.setattr(graphs, "_refine", lambda *args: calls.append(args) or refine(*args))
+        for g, copies in ((cycle_graph(5), 4), (path_graph(2), 31), (complete_graph(3), 20)):
+            calls.clear()
+            assert class_key(self.disjoint_copies(g, copies)) is None
+            assert len(calls) < graphs._MAX_LEAVES
