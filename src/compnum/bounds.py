@@ -99,8 +99,7 @@ def opsut_edge_bound(g: Graph) -> int:
 def opsut_vertex_bound(g: Graph) -> int:
     """Neighborhood-cover lower bound, 0 as soon as some vertex is isolated."""
     _require_vertices(g)
-    t = _oracle(g)
-    return min(t.vertex_cover_number(sum(1 << u for u in g.neighbors(v))) for v in range(g.n))
+    return min(map(_oracle(g).vertex_cover_number, g.rows))
 
 
 def _scan(g: Graph, m: int, floor: int | None = None) -> tuple[BoundTerm, bool]:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import functools
 from itertools import combinations
 from math import inf
-from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 
 class InfeasibleCoverError(ValueError):
@@ -31,24 +31,28 @@ class InfeasibleCoverError(ValueError):
 def maximal_cliques(g: Graph) -> list[frozenset[int]]:
     """All inclusion-maximal cliques, each exactly once.
 
-    Pivoting branch enumeration.  The result is sorted by member lists, so
-    the order is deterministic and isolated vertices show up as singletons.
+    Pivoting branch enumeration on the adjacency masks: the clique, its
+    candidates and its excluded vertices are masks, and the pivot is the
+    candidate or excluded vertex with the most candidate neighbours, the
+    lowest label on ties.  The result is sorted by member lists, so the
+    order is deterministic and isolated vertices show up as singletons.
     """
-    found: list[frozenset[int]] = []
+    rows = g.rows
+    found: list[int] = []
 
-    def expand(clique: frozenset[int], cand: set[int], excl: set[int]) -> None:
+    def expand(clique: int, cand: int, excl: int) -> None:
         if not cand and not excl:
             found.append(clique)
             return
-        pivot = max(cand | excl, key=lambda u: (len(g.adj[u] & cand), -u))
-        for v in sorted(cand - g.adj[pivot]):
-            expand(clique | {v}, cand & g.adj[v], excl & g.adj[v])
-            cand.discard(v)
-            excl.add(v)
+        pivot = max(_bits(cand | excl), key=lambda u: ((rows[u] & cand).bit_count(), -u))
+        for v in _bits(cand & ~rows[pivot]):
+            expand(clique | 1 << v, cand & rows[v], excl & rows[v])
+            cand ^= 1 << v
+            excl |= 1 << v
 
     if g.n:
-        expand(frozenset(), set(range(g.n)), set())
-    return sorted(found, key=sorted)
+        expand(0, (1 << g.n) - 1, 0)
+    return [frozenset(c) for c in sorted(map(tuple, map(_bits, found)))]
 
 
 # -- exact set cover ---------------------------------------------------------
@@ -85,14 +89,6 @@ class CoverInstance:
 
     def __repr__(self) -> str:
         return f"CoverInstance(|universe|={len(self.universe)}, candidates={len(self.candidates)})"
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class _Family(NamedTuple):
@@ -259,11 +255,11 @@ class _Cliques:
     """The maximal cliques of one graph, laid out for the kernel: the graph's
     cover oracle, which every entry point looks up with ``_oracle(g)``.
 
-    Vertex v is bit v and edge i of ``g.edges()`` is bit i; no other code
-    knows this.  ``cliques[j]`` has the masks ``vertex_masks[j]`` and
-    ``edge_masks[j]``, ``vertex_family`` and ``edge_family`` lay them out
-    for the kernel, ``bit`` maps an edge to its bit, and ``incident[v]``
-    masks the edges at v.
+    Vertex v is bit v, as in ``g.rows``, and edge i of ``g.edges()`` is
+    bit i; no other code knows the edge bits.  ``cliques[j]`` has the masks
+    ``vertex_masks[j]`` and ``edge_masks[j]``, ``vertex_family`` and
+    ``edge_family`` lay them out for the kernel, ``bit`` maps an edge to its
+    bit, and ``incident[v]`` masks the edges at v.
 
     Induced subgraphs G[S] need no second enumeration.  Every trace C & S is
     a clique of G[S], and every clique of G[S] lies in some maximal C, hence

@@ -52,8 +52,18 @@ def _check_vertex(n: int, v: int) -> None:
         raise ValueError(f"vertex {v!r} out of range for {n} vertices")
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Graph:
-    """Immutable simple undirected graph with set-based adjacency."""
+    """Immutable simple undirected graph: its vertex count ``n`` and one
+    adjacency mask per vertex, bit u of ``rows[v]`` set iff u and v are
+    adjacent.  The methods answer with frozensets and sorted edge lists."""
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -62,56 +72,55 @@ class Graph:
             raise ValueError(
                 f"at most {MAX_GRAPH6_VERTICES} vertices supported, got {n}"
             )
-        adj: list[set[int]] = [set() for _ in range(n)]
+        rows = [0] * n
         for u, v in edges:
             _check_vertex(n, u)
             _check_vertex(n, v)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         self.n = n
-        self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
+        self.rows: tuple[int, ...] = tuple(rows)
 
     # -- basic queries ---------------------------------------------------
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted (u, v) pairs with u < v, in lexicographic order."""
-        return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
+        return [(u, v) for u, row in enumerate(self.rows) for v in _bits(row & -2 << u)]
 
     @property
     def edge_count(self) -> int:
-        return sum(len(s) for s in self.adj) // 2
+        return sum(map(int.bit_count, self.rows)) // 2
 
     def neighbors(self, v: int) -> frozenset[int]:
         """Open neighborhood of v: all vertices adjacent to v, excluding v."""
         _check_vertex(self.n, v)
-        return self.adj[v]
+        return frozenset(_bits(self.rows[v]))
 
     # -- set-valued operations -------------------------------------------
 
-    def _check_subset(self, vs: Iterable[int]) -> frozenset[int]:
-        vs = frozenset(vs)
-        for v in vs:
+    def _mask(self, vertices: Iterable[int]) -> int:
+        mask = 0
+        for v in vertices:
             _check_vertex(self.n, v)
-        return vs
+            mask |= 1 << v
+        return mask
 
     def closed_neighborhood(self, vertices: Iterable[int]) -> frozenset[int]:
         """The given vertices together with everything adjacent to them."""
-        vs = self._check_subset(vertices)
-        out = set(vs)
-        for v in vs:
-            out |= self.adj[v]
-        return frozenset(out)
+        out = mask = self._mask(vertices)
+        for v in _bits(mask):
+            out |= self.rows[v]
+        return frozenset(_bits(out))
 
     def incident_edges(self, vertices: Iterable[int]) -> frozenset[tuple[int, int]]:
         """All edges having at least one endpoint in the given set."""
-        vs = self._check_subset(vertices)
-        out = set()
-        for v in vs:
-            for u in self.adj[v]:
-                out.add((u, v) if u < v else (v, u))
-        return frozenset(out)
+        return frozenset(
+            (u, v) if u < v else (v, u)
+            for v in _bits(self._mask(vertices))
+            for u in _bits(self.rows[v])
+        )
 
     def induced_subgraph(
         self, vertices: Iterable[int]
@@ -121,31 +130,30 @@ class Graph:
         Returns the new graph and the old-to-new label map.  Relabeling is
         order-preserving (smallest old label becomes 0).
         """
-        vs = sorted(self._check_subset(vertices))
-        relabel = {old: new for new, old in enumerate(vs)}
+        mask = self._mask(vertices)
+        relabel = {old: new for new, old in enumerate(_bits(mask))}
         edges = [
             (relabel[u], relabel[v])
-            for u in vs
-            for v in self.adj[u]
-            if u < v and v in relabel
+            for u in relabel
+            for v in _bits(self.rows[u] & mask & -2 << u)
         ]
-        return Graph(len(vs), edges), relabel
+        return Graph(len(relabel), edges), relabel
 
     def is_clique(self, vertices: Iterable[int]) -> bool:
         """True iff the vertices are pairwise adjacent; empty sets and
         singletons count as cliques."""
-        vs = sorted(self._check_subset(vertices))
-        return all(v in self.adj[u] for u, v in combinations(vs, 2))
+        mask = self._mask(vertices)
+        return all(not mask & ~(self.rows[v] | 1 << v) for v in _bits(mask))
 
     # -- dunder ------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.adj == other.adj
+        return self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash((self.n, self.adj))
+        return hash(self.rows)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()})"
@@ -328,19 +336,27 @@ def _graph6_rows(text: str) -> list[int]:
 
 
 def _rows_graph(rows: Sequence[int]) -> Graph:
-    """The graph with adjacency masks ``rows``."""
-    return Graph(len(rows), [(i, j) for j, row in enumerate(rows) for i in range(j) if row >> i & 1])
+    """The graph with adjacency masks ``rows``, which must be symmetric and
+    loop-free, as _graph6_rows decodes them."""
+    g = Graph(len(rows))
+    g.rows = tuple(rows)
+    return g
 
 
-def _pattern(adj: Sequence[frozenset[int]], order: Sequence[int]) -> int:
-    """The upper triangle under a vertex order, read as an integer: the pairs
-    (order[i], order[j]), i < j, in graph6 column order, the first pair as
-    the most significant bit."""
-    code = 0
-    for j in range(1, len(order)):
-        row = adj[order[j]]
-        for i in range(j):
-            code = code << 1 | (order[i] in row)
+def _pattern(rows: Sequence[int], cells: Sequence[int]) -> int:
+    """The graph6 bit pattern under the order of the cells, each cell's
+    members in label order, read as an integer: the pairs in column order,
+    the first pair as the most significant bit."""
+    order, code = [], 0
+    for cell in cells:
+        while cell:
+            low = cell & -cell
+            v = low.bit_length() - 1
+            row = rows[v]
+            for u in order:
+                code = code << 1 | row >> u & 1
+            order.append(v)
+            cell ^= low
     return code
 
 
@@ -348,7 +364,7 @@ def write_graph6(g: Graph) -> str:
     """Encode a graph as a canonical graph6 line (exact inverse of parse)."""
     npairs = g.n * (g.n - 1) // 2
     nbytes = (npairs + 5) // 6
-    code = _pattern(g.adj, range(g.n)) << 6 * nbytes - npairs  # zero padding
+    code = _pattern(g.rows, [(1 << g.n) - 1]) << 6 * nbytes - npairs  # zero padding
     return chr(63 + g.n) + "".join(chr(63 + (code >> 6 * k & 63)) for k in range(nbytes - 1, -1, -1))
 
 
@@ -431,21 +447,6 @@ def _twins(rows: Sequence[int], cell: int, low: int) -> int:
     return twins
 
 
-def _leaf_code(rows: Sequence[int], cells: list[int]) -> int:
-    """The graph6 bit pattern under the order of the cells, read as an integer."""
-    order, code = [], 0
-    for cell in cells:
-        while cell:
-            low = cell & -cell
-            v = low.bit_length() - 1
-            row = rows[v]
-            for u in order:
-                code = code << 1 | row >> u & 1
-            order.append(v)
-            cell ^= low
-    return code
-
-
 def _rows_key(rows: Sequence[int]) -> tuple[int, int] | None:
     """``(n, code)`` for the graph with adjacency masks ``rows``, equal for
     two graphs iff they are isomorphic, or None: ``code`` is the smallest
@@ -468,7 +469,7 @@ def _rows_key(rows: Sequence[int]) -> tuple[int, int] | None:
                 break
         else:
             leaves += 1
-            code = _leaf_code(rows, cells)
+            code = _pattern(rows, cells)
             if best is None or code < best:
                 best = code
             continue
@@ -514,7 +515,9 @@ def parse_arc_list(text: str) -> Digraph:
         arcs.add((u, v))
     if n is None:
         raise GraphParseError("line 1: missing 'digraph <n>' header")
-    return Digraph(n, arcs)
+    d = Digraph(n)  # the arcs are checked above, each once
+    d.arcs = frozenset(arcs)
+    return d
 
 
 def write_arc_list(d: Digraph) -> str:

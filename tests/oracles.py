@@ -49,6 +49,28 @@ def all_cliques(g: Graph) -> list[frozenset[int]]:
     return out
 
 
+def set_maximal_cliques(g: Graph) -> list[frozenset[int]]:
+    """The maximal cliques by the pivoting enumeration on frozenset
+    neighbourhoods: the same pivot rule (most candidate neighbours, lowest
+    label on ties) and the same order as covers.maximal_cliques."""
+    adj = [g.neighbors(v) for v in range(g.n)]
+    found: list[frozenset[int]] = []
+
+    def expand(clique: frozenset[int], cand: set[int], excl: set[int]) -> None:
+        if not cand and not excl:
+            found.append(clique)
+            return
+        pivot = max(cand | excl, key=lambda u: (len(adj[u] & cand), -u))
+        for v in sorted(cand - adj[pivot]):
+            expand(clique | {v}, cand & adj[v], excl & adj[v])
+            cand.discard(v)
+            excl.add(v)
+
+    if g.n:
+        expand(frozenset(), set(range(g.n)), set())
+    return sorted(found, key=sorted)
+
+
 def brute_min_cover(universe, candidates) -> int | None:
     """Exhaustive minimum cover size: try all subfamilies by increasing size.
 
@@ -310,7 +332,7 @@ def packer_write_graph6(g: Graph) -> str:
     acc = nbits = 0
     for j in range(1, g.n):
         for i in range(j):
-            acc = (acc << 1) | (1 if j in g.adj[i] else 0)
+            acc = (acc << 1) | (1 if j in g.neighbors(i) else 0)
             nbits += 1
             if nbits == 6:
                 chars.append(chr(63 + acc))
@@ -323,7 +345,7 @@ def packer_write_graph6(g: Graph) -> str:
 def inline_canonical_key(g: Graph, max_orders: int = 720) -> tuple[int, int] | None:
     """The canonical key with the relabeled bit pattern built inline for
     every order of the vertices inside the refined cells."""
-    n, adj = g.n, g.adj
+    n, adj = g.n, [g.neighbors(v) for v in range(g.n)]
     colour = [len(adj[v]) for v in range(n)]
     while True:
         signature = [(colour[v], tuple(sorted(colour[u] for u in adj[v]))) for v in range(n)]
@@ -399,7 +421,7 @@ def is_connected(g: Graph) -> bool:
     frontier = [0]
     while frontier:
         v = frontier.pop()
-        for u in g.adj[v]:
+        for u in g.neighbors(v):
             if u not in seen:
                 seen.add(u)
                 frontier.append(u)
@@ -407,4 +429,4 @@ def is_connected(g: Graph) -> bool:
 
 
 def has_triangle(g: Graph) -> bool:
-    return any(g.adj[u] & g.adj[v] for u, v in g.edges())
+    return any(g.neighbors(u) & g.neighbors(v) for u, v in g.edges())

@@ -64,7 +64,7 @@ def test_criterion_3_second_to_last_term_identity(sweep):
         n = e.graph.n
         assert n >= 2
         assert e.report.term(n - 1).value == e.report.opsut_edge, write_graph6(e.graph)
-        if any(not e.graph.adj[v] for v in range(n)):
+        if any(not e.graph.neighbors(v) for v in range(n)):
             with_isolated += 1
     assert with_isolated > 0  # the isolated-vertex case is genuinely exercised
     print(

@@ -7,6 +7,7 @@ import pytest
 
 from compnum import (
     CoverInstance,
+    Graph,
     InfeasibleCoverError,
     all_labeled_graphs,
     complete_graph,
@@ -17,12 +18,15 @@ from compnum import (
     maximal_cliques,
     min_cover,
     min_set_cover,
+    parse_graph6,
     path_graph,
+    random_graph,
     random_graphs,
     restricted_edge_cover_number,
     vertex_clique_cover_number,
+    write_graph6,
 )
-from compnum import covers
+from compnum import covers, graphs
 from compnum.covers import _Cliques, _family, _min_cover, _packing_bound, _search
 from oracles import (
     adjacency_masks,
@@ -32,7 +36,28 @@ from oracles import (
     brute_vertex_cover_number,
     element_packing_bound,
     has_triangle,
+    set_maximal_cliques,
 )
+
+
+def test_every_constructor_gives_one_graph_and_one_oracle():
+    # the oracle lookup is keyed by graph equality, so a constructor whose
+    # graphs hashed apart would silently rebuild the cliques
+    rng = random.Random(19)
+    draws = [random_graph(rng.randint(7, 16), rng.random(), seed=rng.randrange(10**6)) for _ in range(60)]
+    for g in [g for n in range(6) for g in all_labeled_graphs(n)] + draws:
+        text = write_graph6(g)
+        built = [
+            Graph(g.n, [(v, u) for u, v in reversed(g.edges())]),
+            parse_graph6(text),
+            graphs._rows_graph(graphs._graph6_rows(text)),
+        ]
+        oracle = covers._oracle(g)
+        for h in built:
+            assert h == g and hash(h) == hash(g), text
+            assert list(h.rows) == adjacency_masks(g), text
+            assert covers._oracle(h) is oracle, text
+        assert oracle.cliques == maximal_cliques(g) == set_maximal_cliques(g), text
 
 
 class TestMaximalCliques:

@@ -282,6 +282,16 @@ class TestArcList:
         with pytest.raises(GraphParseError, match=fragment):
             parse_arc_list(text)
 
+    def test_each_arc_is_checked_once(self, monkeypatch):
+        # the parser's own checks name the line; Digraph.__init__ would
+        # check every arc a second time
+        calls = []
+        check = graphs._check_vertex
+        monkeypatch.setattr(graphs, "_check_vertex", lambda n, v: calls.append(v) or check(n, v))
+        d = parse_arc_list("digraph 4\n0 2\n1 2\n3 0\n")
+        assert calls == []
+        assert d.n == 4 and d.arcs == {(0, 2), (1, 2), (3, 0)}
+
     def test_round_trip(self):
         d = Digraph(4, [(0, 2), (1, 2), (3, 0)])
         assert parse_arc_list(write_arc_list(d)) == d
