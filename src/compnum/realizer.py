@@ -143,36 +143,46 @@ def verify_realization(g: Graph, k: int, d: Digraph) -> Verification:
 # (covers._Cliques.within).  The search state is two ints: the placed
 # vertices and the covered edges, as masks in the layout of covers._Cliques.
 #
-# Two tests cut a node whose subtree holds no realization.  Every node, the
-# leaf included, takes the packing test: the residual edges must fit into the
-# feeder slots still open plus the k added vertices, and at the leaf no slot
-# is open.  A leaf that passes covers its residual with at most k cliques,
-# which feed the added vertices as positions n..n+k-1 of the ordering, like
-# any other position.  Any other node that passes expands its feeders once
-# the tail inequality holds too.  The tail inequality (Opsut 1982;
-# Roberts 1978) looks at the r unplaced vertices T, which every completion
-# puts last.  No feeder chosen so far touches T, and neither does the next
-# one, which lies inside the placed prefix.  So every edge at T must be
-# covered by the feeders of the other r - 1 positions or by the k added
+# Two tests cut a node whose subtree holds no realization.  The packing test:
+# the residual edges must fit into the feeder slots still open plus the k
+# added vertices; at the leaf no slot is open.  The tail inequality
+# (Opsut 1982; Roberts 1978) looks at the r unplaced vertices T, which every
+# completion puts last.  No feeder chosen so far touches T, and neither does
+# the next one, which lies inside the placed prefix.  So every edge at T must
+# be covered by the feeders of the other r - 1 positions or by the k added
 # vertices: cover(incident(T)) <= r - 1 + k, with the maximal cliques of G
-# as candidates.  Neither test changes the witness: each cuts only subtrees
-# that hold no realization, so the exploration meets the same first witness,
-# in fewer nodes.
+# as candidates.  Every node takes the packing test, and every node but a
+# leaf takes the tail test.  A leaf that passes covers its residual with at
+# most k cliques, which feed the added vertices as positions n..n+k-1 of the
+# ordering, like any other position.  Neither test changes the witness: each
+# cuts only subtrees that hold no realization, so the exploration meets the
+# same first witness, in fewer nodes.
+#
+# A node is tested by its parent, and only a node that passes both tests is
+# called.  The root is tested once, before the first call.  A child's packing
+# test reads only its covered mask, the parent's covered mask plus the
+# feeder, which is the same for every vertex the parent places next, so the
+# parent tests each feeder once and keeps those that pass.  The tail test
+# reads only the child's placed mask, so the parent asks it at the child's
+# first feeder that passes and is not dead, which is where a search testing
+# each node on entry asks it first; the oracle sees the same questions in the
+# same order.  When it fails, every feeder of that child is refused.
 #
 # Memos keep any question from being asked twice.  Three live for one level
 # (one find_realization call), because their answers depend on k.  ``dead``
-# holds every state (placed, covered) whose subtree was exhausted or cut,
-# including the leaves whose residual edges need more than k cliques: every
-# refusal takes the node's one exit, which marks its state.  ``bound_of``
-# maps a covered mask to its residual's packing bound.  The residual is the
-# edges outside the covered mask, whatever the placed mask or the depth, so
-# the key is the covered mask alone and each residual is counted once per
-# level; only the open slots it is compared with change from node to node.
+# holds every state (placed, covered) that was called and failed: an
+# expanded node whose children are exhausted, or a leaf whose residual edges
+# need more than k cliques.  A refused child is not stored, because the
+# memoized tests refuse it again for one dict lookup.  ``bound_of`` maps a
+# covered mask to its residual's packing bound.  The residual is the edges
+# outside the covered mask, whatever the placed mask or the depth, so the key
+# is the covered mask alone and each residual is counted once per level; only
+# the open slots it is compared with change from node to node.
 # ``feeders_of`` reads only the placed mask: it returns the prefix's feeder
 # cliques when the tail inequality holds and None when it fails, and it is
-# asked only after the packing test passes.  A leaf that passes the packing
-# test asks ``fits`` first, which stops at the first cover within k, and
-# asks for the cover itself only when one exists.
+# asked only after the packing test passes.  A leaf asks ``fits`` first,
+# which stops at the first cover within k, and asks for the cover itself
+# only when one exists.
 #
 # One memo lives for the whole graph, on its cover oracle (covers._Cliques),
 # because it does not depend on k: the table of proven cover bounds, which
@@ -183,10 +193,16 @@ def verify_realization(g: Graph, k: int, d: Digraph) -> Verification:
 # whether ``fits`` searches, never what it answers, so no witness, answer or
 # node count depends on what was asked before.
 #
-# A node is counted by its parent, before the parent looks its state up in
-# ``dead``, and a dead child is skipped without a call; the root is counted
-# before the first call.  So the budget sees every node in the order the
-# exploration meets it, a dead one included.
+# The budget counts every node the exploration meets, refused and dead ones
+# included, in the order a search that tests each node on entry meets them.
+# The root is counted before it is tested.  A parent adds the refused feeders
+# before a passing one together with it (``nodes += run``), then checks the
+# budget, then looks the child up in ``dead``.  The refused feeders after the
+# last passing one, or after a failed tail test, are added when the child's
+# loop ends, and the budget is checked again.  Counting a run in one step
+# raises exactly when counting it node by node would: a refused node makes no
+# call, returns no witness and stores nothing, so the search ends with the
+# same witness, None or BudgetExceededError.
 
 
 def find_realization(
@@ -222,38 +238,62 @@ def find_realization(
     chosen: list[tuple[int, ...]] = []
 
     def extend(placed: int, covered: int) -> RealizationWitness | None:
+        # The parent has counted this node, and it passed both tests.
         nonlocal nodes
-        residual = all_edges & ~covered
-        if (bound := bound_of.get(covered)) is None:
-            bound = bound_of[covered] = t.packing_bound(residual)
-        if open_slots[len(order)] + k >= bound:
-            if len(order) == n:
-                if t.fits(residual, k) and (found := t.cover(residual, k)) is not None:
-                    return _assemble(g, k, order, chosen + [t.cliques[i] for i in found[1]])
-            elif (feeders := feeders_of(placed)) is not None:
-                for v in range(n):
-                    if placed >> v & 1 or (len(order) == 1 and v < order[0]):
-                        continue  # placed already, or the first two are interchangeable
-                    child = placed | 1 << v
-                    order.append(v)
-                    for members, mask in feeders:
-                        nodes += 1
-                        if budget is not None and nodes > budget:
-                            raise BudgetExceededError(spent)
-                        if (child, covered | mask) in dead:
-                            continue
-                        chosen.append(members)
-                        witness = extend(child, covered | mask)
-                        if witness is not None:
-                            return witness
-                        chosen.pop()
-                    order.pop()
+        depth = len(order)
+        if depth == n:
+            residual = all_edges & ~covered
+            if t.fits(residual, k) and (found := t.cover(residual, k)) is not None:
+                return _assemble(g, k, order, chosen + [t.cliques[i] for i in found[1]])
+        else:
+            feeders = feeders_of(placed)
+            # (run, members, covered mask) per feeder whose children pass the
+            # packing test; run counts it and the refused feeders before it
+            passing = []
+            run = 0
+            slots = open_slots[depth + 1] + k
+            for members, mask in feeders:
+                run += 1
+                mask |= covered
+                if (bound := bound_of.get(mask)) is None:
+                    bound = bound_of[mask] = t.packing_bound(all_edges & ~mask)
+                if bound <= slots:
+                    passing.append((run, members, mask))
+                    run = 0
+            inner = depth + 1 < n  # the children are not leaves
+            for v in range(n):
+                if placed >> v & 1 or (depth == 1 and v < order[0]):
+                    continue  # placed already, or the first two are interchangeable
+                child = placed | 1 << v
+                left = len(feeders)  # this child's nodes not yet counted
+                order.append(v)
+                for run, members, mask in passing:
+                    nodes += run
+                    left -= run
+                    if budget is not None and nodes > budget:
+                        raise BudgetExceededError(spent)
+                    if (child, mask) in dead:
+                        continue
+                    if inner and feeders_of(child) is None:
+                        break  # the tail test refuses the child with every feeder
+                    chosen.append(members)
+                    witness = extend(child, mask)
+                    if witness is not None:
+                        return witness
+                    chosen.pop()
+                order.pop()
+                nodes += left
+                if budget is not None and nodes > budget:
+                    raise BudgetExceededError(spent)
         dead.add((placed, covered))
         return None
 
     nodes = 1  # the root
     if budget is not None and nodes > budget:
         raise BudgetExceededError(spent)
+    bound_of[0] = t.packing_bound(all_edges)
+    if bound_of[0] > open_slots[0] + k or (n > 0 and feeders_of(0) is None):
+        return None
     return extend(0, 0)
 
 

@@ -6,7 +6,9 @@ ones), competition numbers by enumerating vertex permutations together
 with every forward arc set, digraph checks from dense per-vertex tables,
 graph6 from one bit list per string, and the general bound's report from one
 capped cover search per vertex subset.  The one exception reads the
-realizer's own search nodes, through nothing but its public budget.
+realizer's own search nodes, through nothing but its public budget, and keeps
+the realizer's search with both tests on node entry as the reference for the
+one that tests each child in its parent.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from compnum import (
     find_realization,
 )
 from compnum.bounds import BoundReport, BoundTerm
-from compnum.covers import _Cliques
+from compnum.covers import _Cliques, _oracle
+from compnum.realizer import RealizationWitness, _assemble
 
 
 def adjacency_masks(g: Graph) -> list[int]:
@@ -196,14 +199,14 @@ def naive_competition_number(g: Graph, k_cap: int = 6) -> int:
 # -- the realizer's search nodes, read through its budget ------------------------
 
 
-def least_budget(g: Graph, k: int) -> int:
-    """The fewest search nodes find_realization(g, k) needs: it finishes with
-    that budget and runs out one below it.  Found by doubling, then bisection,
-    over the public budget alone."""
+def least_budget(g: Graph, k: int, solve=find_realization) -> int:
+    """The fewest search nodes solve(g, k) needs: it finishes with that budget
+    and runs out one below it.  Found by doubling, then bisection, over the
+    budget alone."""
 
     def finishes(budget: int) -> bool:
         try:
-            find_realization(g, k, budget=budget)
+            solve(g, k, budget=budget)
         except BudgetExceededError:
             return False
         return True
@@ -219,6 +222,67 @@ def least_budget(g: Graph, k: int) -> int:
         else:
             low = mid
     return high
+
+
+def literal_find_realization(
+    g: Graph, k: int, budget: int | None = None
+) -> RealizationWitness | None:
+    """find_realization with both tests on node entry: every child the
+    exploration meets is counted, looked up in ``dead`` and called, and a
+    refused one marks its state dead on the way out."""
+    t = _oracle(g)
+    n = g.n
+    all_edges = (1 << g.edge_count) - 1
+    open_slots = tuple(max(0, n - max(depth, 2)) for depth in range(n + 1))
+
+    @lru_cache(maxsize=None)
+    def feeders_of(placed: int):
+        unplaced = ((1 << n) - 1) & ~placed
+        if not t.fits(t.edges_at(unplaced), unplaced.bit_count() - 1 + k):
+            return None
+        return t.within(placed) if placed.bit_count() >= 2 else [((), 0)]
+
+    dead: set[tuple[int, int]] = set()
+    bound_of: dict[int, int] = {}
+    order: list[int] = []
+    chosen: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def count() -> None:
+        nonlocal nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise BudgetExceededError(f"node budget of {budget} exhausted")
+
+    def extend(placed: int, covered: int) -> RealizationWitness | None:
+        residual = all_edges & ~covered
+        if (bound := bound_of.get(covered)) is None:
+            bound = bound_of[covered] = t.packing_bound(residual)
+        if open_slots[len(order)] + k >= bound:
+            if len(order) == n:
+                if t.fits(residual, k) and (found := t.cover(residual, k)) is not None:
+                    return _assemble(g, k, order, chosen + [t.cliques[i] for i in found[1]])
+            elif (feeders := feeders_of(placed)) is not None:
+                for v in range(n):
+                    if placed >> v & 1 or (len(order) == 1 and v < order[0]):
+                        continue
+                    child = placed | 1 << v
+                    order.append(v)
+                    for members, mask in feeders:
+                        count()
+                        if (child, covered | mask) in dead:
+                            continue
+                        chosen.append(members)
+                        witness = extend(child, covered | mask)
+                        if witness is not None:
+                            return witness
+                        chosen.pop()
+                    order.pop()
+        dead.add((placed, covered))
+        return None
+
+    count()  # the root
+    return extend(0, 0)
 
 
 def level_node_counts(g: Graph) -> list[int]:

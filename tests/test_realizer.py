@@ -29,7 +29,7 @@ from compnum import (
     verify_realization,
 )
 from compnum.covers import _Cliques, _oracle, _search
-from oracles import has_triangle, is_connected, least_budget, level_node_counts
+from oracles import has_triangle, is_connected, least_budget, level_node_counts, literal_find_realization
 
 
 class TestCompetitionGraph:
@@ -234,6 +234,64 @@ class TestFindRealization:
         digest = hashlib.sha256(repr(counts).encode()).hexdigest()
         assert digest == "c91ce50d82a971b4fe306edb683dd76beddef5645b4bd108fad16b6423565a7f"
 
+
+    @pytest.mark.parametrize(
+        "g, k, raised, witness",
+        [
+            (Graph(0), 0, 1, True),
+            (Graph(0), 2, 1, True),
+            (Graph(1), 0, 2, True),
+            (cycle_graph(4), 1, 1, False),  # the root's packing test refuses it
+            (complete_graph(2), 0, 1, False),
+            (cycle_graph(4), 2, 6, True),
+        ],
+    )
+    def test_root_edge_cases_are_pinned(self, g, k, raised, witness):
+        # The root is counted before it is tested, so a budget of 0 runs out
+        # even where the root alone settles the level.
+        for budget in range(raised):
+            with pytest.raises(BudgetExceededError):
+                find_realization(g, k, budget=budget)
+        w = find_realization(g, k, budget=raised)
+        assert (w is not None) == witness
+        if g.n == 0:
+            assert w.digraph.arcs == frozenset() and w.ordering == tuple(range(k))
+
+    def test_children_tested_in_the_parent_match_the_search_testing_on_entry(self):
+        # The same witness and the same least budget at every level 0..k(G)
+        # as the search that tests each node on entry (oracles).
+        cases = [
+            (g, k)
+            for i, (n, p) in enumerate((n, p) for n in (8, 9, 10) for p in (0.3, 0.5))
+            for g in random_graphs(n, p, 2020 + i, 4)
+            for k in range(competition_number(g)[0] + 1)
+        ]
+        cases.append((parse_graph6("KEcF`]jd_OJ@"), 1))
+        for g, k in cases:
+            assert find_realization(g, k) == literal_find_realization(g, k), (g.edges(), k)
+            assert least_budget(g, k) == least_budget(g, k, literal_find_realization), (g.edges(), k)
+
+    @pytest.mark.parametrize(
+        "g, k, nodes",
+        [
+            (cycle_graph(5), 2, 9),
+            (complete_multipartite_graph([3, 3, 2]), 4, 549),
+            (random_graphs(8, 0.5, 11, 1)[0], 1, 79),
+        ],
+    )
+    def test_every_budget_ends_as_on_entry_testing(self, g, k, nodes):
+        # Runs of refused children are counted in one step; the budget must
+        # still run out, or not, exactly where counting one node at a time
+        # does, so every budget up to the least one gives the same outcome.
+        def outcome(solve, budget):
+            try:
+                return solve(g, k, budget=budget)
+            except BudgetExceededError:
+                return BudgetExceededError
+
+        assert least_budget(g, k) == nodes
+        for budget in range(1, nodes + 1):
+            assert outcome(find_realization, budget) == outcome(literal_find_realization, budget), budget
 
     def test_tail_pruning_keeps_every_answer_and_witness(
         self, graphs_up_to_3, graphs_4, graphs_5, monkeypatch
