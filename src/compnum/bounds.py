@@ -117,7 +117,10 @@ def _scan(g: Graph, m: int, floor: int | None = None) -> tuple[BoundTerm, bool]:
     Each incident-edge mask is entered in the oracle's table at its packing
     bound on its first visit, and a subset whose mask the table bounds above
     the cap needs no search; one whose cover number the table holds needs
-    none either.  The subsets are walked as (m-1)-subsets, the heads, each
+    none either.  The others ask the oracle's ``least``, which returns only
+    the capped cover number and stops at the table's lower bound: the term,
+    its subset and the truncation depend on sizes alone, never on a cover.
+    The subsets are walked as (m-1)-subsets, the heads, each
     extended by every larger vertex, which is lexicographic order.
     incident(U) contains incident(head) and the cover number only grows with
     the mask, while the cap only falls, so once the table bounds a head's
@@ -145,10 +148,9 @@ def _scan(g: Graph, m: int, floor: int | None = None) -> tuple[BoundTerm, bool]:
             if cover > cap:
                 continue
             if cover != upper:
-                found = t.cover(mask, cap)
-                if found is None:
+                cover = t.least(mask, cap)
+                if cover is None:
                     continue
-                cover = found[0]
             best, argmin, cap = cover - m + 1, head + (v,), cover - 1
             if floor is not None and best <= floor:
                 return BoundTerm(m, best, argmin), True

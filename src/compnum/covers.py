@@ -69,8 +69,11 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
 # meets no cover at all.  Below the root, a cover is recorded as soon as the
 # residual is empty, before any barrier check, so an equal-size later sibling
 # replaces the recorded cover.  Witness bytes depend on that rule, and on a
-# minimum query never stopping early, not even at the packing bound.  Its
-# greedy start breaks ties on the lowest index.
+# minimum query that returns a cover (``_min_cover``) never stopping early,
+# not even at the packing bound; its greedy start breaks ties on the lowest
+# index.  A query that returns only a number (``_Cliques.least``) has no
+# greedy start and stops at the first cover as small as a proven lower bound:
+# which minimum cover it ends on changes no size.
 #
 # The packing bound counts elements pairwise without a common candidate, so
 # no cover can take two of them with one set.  Walking the elements upwards,
@@ -274,8 +277,8 @@ class _Cliques:
     the mask alone, so one table serves the bound report's subsets at every
     m and the realizer's tail and leaf tests at every level, across calls:
     each mask is bounded once and searched at most once per cap, and a
-    question the bounds already settle costs no search.  ``fits`` and
-    ``cover`` are the only searches that write it.  It is the only state
+    question the bounds already settle costs no search.  ``fits``, ``cover``
+    and ``least`` are the only searches that write it.  It is the only state
     that outlives a call, and it decides only whether ``fits`` searches,
     never what it answers, so an oracle's history changes no output.
     """
@@ -305,6 +308,19 @@ class _Cliques:
         else:
             self.known[edges] = (found[0], found[0])
         return found
+
+    def least(self, edges: int, cap: int) -> int | None:
+        """The fewest cliques covering the edge mask if at most ``cap`` do,
+        else None: the size ``cover(edges, cap)`` reports, by one search with
+        no greedy start that stops at the table's lower bound, where a cover
+        is minimum.  The table keeps its outcome as ``cover`` does."""
+        lower, upper = self.known.get(edges, _UNKNOWN)
+        found = _search(edges, self.edge_family, cap + 1, lower)
+        if found is None:
+            self.known[edges] = (cap + 1, upper)
+            return None
+        self.known[edges] = (len(found), len(found))
+        return len(found)
 
     def fits(self, edges: int, cap: int) -> bool:
         """Whether at most ``cap`` cliques cover the edge mask, as ``cover(edges,
@@ -338,10 +354,15 @@ class _Cliques:
         """Fewest cliques of G[S] covering S, for the vertex mask of S."""
         return _min_cover(vertices, self.vertex_family)[0]
 
-    def within(self, vertices: int) -> list[tuple[tuple[int, ...], int]]:
+    def within(
+        self, vertices: int, leaving: int | None = None
+    ) -> list[tuple[tuple[int, ...], int]]:
         """The maximal cliques of G[S] for the vertex mask of S, as (members,
-        edge mask), sorted by members as maximal_cliques(G[S]) sorts them."""
-        leaving = self.edges_at(((1 << len(self.incident)) - 1) & ~vertices)
+        edge mask), sorted by members as maximal_cliques(G[S]) sorts them.
+        ``leaving``, the edges with an end outside S, is computed unless the
+        caller has it."""
+        if leaving is None:
+            leaving = self.edges_at(((1 << len(self.incident)) - 1) & ~vertices)
         pairs = zip(self.vertex_masks, self.edge_masks)
         traces = {c & vertices: e & ~leaving for c, e in pairs if c & vertices}
         maximal = [t for t in traces if not any(t != s and t & s == t for s in traces)]

@@ -180,7 +180,9 @@ def verify_realization(g: Graph, k: int, d: Digraph) -> Verification:
 # the open slots it is compared with change from node to node.
 # ``feeders_of`` reads only the placed mask: it returns the prefix's feeder
 # cliques when the tail inequality holds and None when it fails, and it is
-# asked only after the packing test passes.  A leaf asks ``fits`` first,
+# asked only after the packing test passes.  The edges at the unplaced
+# vertices are gathered once: the tail test covers them, and ``within`` clips
+# them off the feeder traces.  A leaf asks ``fits`` first,
 # which stops at the first cover within k, and asks for the cover itself
 # only when one exists.
 #
@@ -227,9 +229,10 @@ def find_realization(
     @functools.cache
     def feeders_of(placed: int) -> list[tuple[tuple[int, ...], int]] | None:
         unplaced = ((1 << n) - 1) & ~placed
-        if not t.fits(t.edges_at(unplaced), unplaced.bit_count() - 1 + k):
+        leaving = t.edges_at(unplaced)
+        if not t.fits(leaving, unplaced.bit_count() - 1 + k):
             return None
-        return t.within(placed) if placed.bit_count() >= 2 else [((), 0)]
+        return t.within(placed, leaving) if placed.bit_count() >= 2 else [((), 0)]
 
     spent = f"node budget of {budget} exhausted"
     dead: set[tuple[int, int]] = set()

@@ -238,9 +238,10 @@ def literal_find_realization(
     @lru_cache(maxsize=None)
     def feeders_of(placed: int):
         unplaced = ((1 << n) - 1) & ~placed
-        if not t.fits(t.edges_at(unplaced), unplaced.bit_count() - 1 + k):
+        leaving = t.edges_at(unplaced)
+        if not t.fits(leaving, unplaced.bit_count() - 1 + k):
             return None
-        return t.within(placed) if placed.bit_count() >= 2 else [((), 0)]
+        return t.within(placed, leaving) if placed.bit_count() >= 2 else [((), 0)]
 
     dead: set[tuple[int, int]] = set()
     bound_of: dict[int, int] = {}

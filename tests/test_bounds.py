@@ -262,18 +262,18 @@ def test_each_mask_is_bounded_once_and_searched_once_per_cap(monkeypatch):
     # a packing bound, a refuted cap and a found cover are each remembered,
     # so no mask is bounded twice and no capped search is asked again
     packed: list[int] = []
-    searched: list[tuple[int, int | None]] = []
-    cover, packing_bound = _Cliques.cover, _Cliques.packing_bound
+    searched: list[tuple[int, int]] = []
+    least, packing_bound = _Cliques.least, _Cliques.packing_bound
 
-    def counted_cover(self, edges, cap=None):
+    def counted_least(self, edges, cap):
         searched.append((edges, cap))
-        return cover(self, edges, cap)
+        return least(self, edges, cap)
 
     def counted_packing_bound(self, edges):
         packed.append(edges)
         return packing_bound(self, edges)
 
-    monkeypatch.setattr(_Cliques, "cover", counted_cover)
+    monkeypatch.setattr(_Cliques, "least", counted_least)
     monkeypatch.setattr(_Cliques, "packing_bound", counted_packing_bound)
     subsets = searches = 0
     for g in random_graphs(10, 0.5, 2012 * 16 + 5, 3):
@@ -284,4 +284,4 @@ def test_each_mask_is_bounded_once_and_searched_once_per_cap(monkeypatch):
         assert len(searched) == len(set(searched))
         subsets += 2**g.n - 1
         searches += len(searched)
-    assert 5 * searches < subsets
+    assert 0 < searches and 5 * searches < subsets

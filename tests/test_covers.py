@@ -318,6 +318,18 @@ class TestFits:
         size = t.cover(edges)[0]
         for cap in range(-1, size + 2):
             assert t.fits(edges, cap) == (t.cover(edges, cap) is not None), cap
+            TestFits.assert_least_agrees(t, edges, cap)
+
+    @staticmethod
+    def assert_least_agrees(t, edges, cap):
+        # least is the bound scan's size-only capped cover: the size the
+        # same capped _min_cover reports, which reads no table, leaving the
+        # table exact or refuting the cap
+        found = _min_cover(edges, t.edge_family, cap)
+        expected = None if found is None else found[0]
+        assert t.least(edges, cap) == expected, (edges, cap)
+        lower, upper = t.known[edges]
+        assert (lower == upper == expected) if found else lower == cap + 1, (edges, cap)
 
     def test_clique_tables_of_small_graphs(self, graphs_up_to_3, graphs_4, graphs_5):
         # every edge mask the realizer asks for: the edges at some vertex set
@@ -350,6 +362,7 @@ class TestFits:
             masks = [rng.getrandbits(g.edge_count) for _ in range(3)]
             masks.append(shared.edges_at(rng.getrandbits(g.n)))
             sizes = {edges: _min_cover(edges, fresh.edge_family)[0] for edges in masks}
+            scan_rng = random.Random(trial)
             for _ in range(30):
                 edges = rng.choice(masks)
                 cap = sizes[edges] + rng.randrange(-2, 2)
@@ -358,6 +371,13 @@ class TestFits:
                     assert shared.fits(edges, cap) == expected, (trial, edges, cap)
                 else:
                     assert shared.cover(edges, cap) == _min_cover(edges, fresh.edge_family, cap)
+                # and the scan's size-only question, drawn apart so the ones
+                # above stay as they were, on a mask entered as bounds._scan
+                # enters it: at its packing bound
+                edges = scan_rng.choice(masks)
+                cap = sizes[edges] + scan_rng.randrange(-2, 2)
+                shared.known.setdefault(edges, (shared.packing_bound(edges), inf))
+                self.assert_least_agrees(shared, edges, cap)
 
 
 class TestCoverFloor:
