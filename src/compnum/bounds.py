@@ -33,10 +33,11 @@ against opsut_edge_bound and opsut_vertex_bound, which count their own covers.
 
 Every cover question goes to the graph's cover oracle, covers._Cliques,
 looked up from the graph, so the scans at every m share its table of proven
-cover bounds with each other and with the realizer's levels.  A
-subset of size m is a head of size m - 1 plus one larger vertex, and
-incident(U) contains incident(head); the cover number only grows with the
-mask, so a head bounded above the cap rules out all of its extensions.
+cover bounds with each other and with the realizer's levels.  The m-subsets
+are walked depth first in lexicographic order, each prefix's incident-edge
+mask one OR onto its parent's.  incident(U) contains the mask of every prefix
+of U, and the cover number only grows with the mask, so a prefix the table
+bounds above the cap rules out every subset through it.
 
 Bounds are reported unclamped and can be negative (for complete graphs the
 m-th term is 2 - m).  Callers compare against competition numbers with
@@ -46,7 +47,6 @@ max(0, bound).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import inf
 
 from .covers import _oracle, edge_clique_cover_number
@@ -120,11 +120,17 @@ def _scan(g: Graph, m: int, floor: int | None = None) -> tuple[BoundTerm, bool]:
     none either.  The others ask the oracle's ``least``, which returns only
     the capped cover number and stops at the table's lower bound: the term,
     its subset and the truncation depend on sizes alone, never on a cover.
-    The subsets are walked as (m-1)-subsets, the heads, each
-    extended by every larger vertex, which is lexicographic order.
-    incident(U) contains incident(head) and the cover number only grows with
-    the mask, while the cap only falls, so once the table bounds a head's
-    mask above the cap, every extension of it is skipped unsearched.
+
+    The subsets are walked depth first in lexicographic order by one loop:
+    ``head`` is the prefix being extended and ``masks[d]`` the incident
+    edges of its first d vertices, each one OR onto the one before.
+    Position d takes vertices up to n - m + d, so every prefix entered has
+    an extension.  incident(U) contains the mask of each prefix of U and the
+    cover number only grows with the mask, while the cap only falls, so a
+    prefix whose mask the table bounds above the cap is not entered: every
+    subset through it is skipped unsearched.  A d-vertex prefix's mask was
+    a subset's mask at m = d, so the scans of smaller m have entered many of
+    them in the table.
 
     With ``floor`` set, the scan stops as soon as the running minimum drops to
     it; the second value says whether it stopped early.
@@ -133,28 +139,40 @@ def _scan(g: Graph, m: int, floor: int | None = None) -> tuple[BoundTerm, bool]:
     cap = g.edge_count
     t = _oracle(g)
     incident, known = t.incident, t.known
-    for head in combinations(range(g.n), m - 1):
-        edges = 0
-        for u in head:
-            edges |= incident[u]
-        if known.get(edges, (0,))[0] > cap:
-            continue
-        for v in range(head[-1] + 1 if head else 0, g.n):
-            mask = edges | incident[v]
-            entry = known.get(mask)
-            if entry is None:
-                entry = known[mask] = (t.packing_bound(mask), inf)
-            cover, upper = entry
-            if cover > cap:
-                continue
-            if cover != upper:
-                cover = t.least(mask, cap)
-                if cover is None:
+    n, last = g.n, m - 1
+    head: list[int] = []
+    masks = [0]
+    v = 0  # the next vertex to try at position len(head)
+    while True:
+        if len(head) == last:
+            edges = masks[-1]
+            for v in range(v, n):
+                mask = edges | incident[v]
+                entry = known.get(mask)
+                if entry is None:
+                    entry = known[mask] = (t.packing_bound(mask), inf)
+                cover, upper = entry
+                if cover > cap:
                     continue
-            best, argmin, cap = cover - m + 1, head + (v,), cover - 1
-            if floor is not None and best <= floor:
-                return BoundTerm(m, best, argmin), True
-    return BoundTerm(m, best, argmin), False
+                if cover != upper:
+                    cover = t.least(mask, cap)
+                    if cover is None:
+                        continue
+                best, argmin, cap = cover - m + 1, (*head, v), cover - 1
+                if floor is not None and best <= floor:
+                    return BoundTerm(m, best, argmin), True
+            v = n  # every subset through this prefix is done
+        if v > n - m + len(head):
+            if not head:
+                return BoundTerm(m, best, argmin), False
+            v = head.pop() + 1
+            masks.pop()
+            continue
+        mask = masks[-1] | incident[v]
+        if known.get(mask, (0,))[0] <= cap:
+            head.append(v)
+            masks.append(mask)
+        v += 1
 
 
 def general_bound_term(g: Graph, m: int) -> BoundTerm:

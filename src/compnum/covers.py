@@ -52,6 +52,7 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
 
     if g.n:
         expand(0, (1 << g.n) - 1, 0)
+    del expand  # it reaches itself through its cell: free it without the collector
     return [frozenset(c) for c in sorted(map(tuple, map(_bits, found)))]
 
 
@@ -74,6 +75,14 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
 # index.  A query that returns only a number (``_Cliques.least``) has no
 # greedy start and stops at the first cover as small as a proven lower bound:
 # which minimum cover it ends on changes no size.
+#
+# The search is one loop, not a recursion: the picks on the path to the node
+# are a list cut back on each backtrack, and the stack holds one frame per
+# branch point that still has holders to try.  A forced pick, the last holder
+# of its branch and in particular a bit's only holder, pushes no frame, so a
+# search as deep as its cover is long needs no Python stack, whatever the
+# recursion limit.  It holds no closure either: nothing it builds refers back
+# to itself, so a query leaves no garbage for the cyclic collector.
 #
 # The packing bound counts elements pairwise without a common candidate, so
 # no cover can take two of them with one set.  Walking the elements upwards,
@@ -130,29 +139,42 @@ def _search(universe: int, family: _Family, barrier: int, goal: int) -> tuple[in
     """Search the covers of ``universe`` with fewer than ``barrier`` sets, each
     one met becoming the barrier, until one has at most ``goal`` sets.  The
     last cover met, as sorted candidate indices, or None; the barrier is the
-    only cap, so with ``barrier <= 0`` no cover is met, not even the empty one."""
+    only cap, so with ``barrier <= 0`` no cover is met, not even the empty one.
+
+    The tree is walked depth first by one loop (see the comment above):
+    ``chosen`` holds the picks on the path to the node, ``base`` the mask a
+    branch point left uncovered, and each stack frame (base, untried
+    holders, depth) a branch point still to go back to."""
+    if barrier <= 0:
+        return None
     cands, holders, shadows, tiers = family
     found = None
-
-    def search(uncovered: int, chosen: tuple[int, ...]) -> bool:
-        nonlocal found, barrier
+    chosen: list[int] = []
+    stack: list[tuple[int, int, int]] = []
+    uncovered = universe
+    while True:
+        options = 0  # the holders to try from this node
         if not uncovered:
             found, barrier = tuple(sorted(chosen)), len(chosen)
-            return barrier <= goal
-        if len(chosen) + _packing_bound(uncovered, shadows) >= barrier:
-            return False
-        for tier in tiers:
-            if tier & uncovered:
-                break
-        tier &= uncovered
-        for i in _bits(holders[(tier & -tier).bit_length() - 1]):
-            if search(uncovered & ~cands[i], chosen + (i,)):
-                return True
-        return False
-
-    if barrier > 0:
-        search(universe, ())
-    return found
+            if barrier <= goal:
+                return found
+        elif len(chosen) + _packing_bound(uncovered, shadows) < barrier:
+            for tier in tiers:
+                if tier & uncovered:
+                    break
+            tier &= uncovered
+            base, options, depth = uncovered, holders[(tier & -tier).bit_length() - 1], len(chosen)
+        if not options:  # back to the last branch point with holders left
+            if not stack:
+                return found
+            base, options, depth = stack.pop()
+            del chosen[depth:]
+        low = options & -options
+        if options != low:
+            stack.append((base, options ^ low, depth))
+        i = low.bit_length() - 1
+        chosen.append(i)
+        uncovered = base & ~cands[i]
 
 
 def _min_cover(

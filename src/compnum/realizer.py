@@ -291,13 +291,16 @@ def find_realization(
         dead.add((placed, covered))
         return None
 
-    nodes = 1  # the root
-    if budget is not None and nodes > budget:
-        raise BudgetExceededError(spent)
-    bound_of[0] = t.packing_bound(all_edges)
-    if bound_of[0] > open_slots[0] + k or (n > 0 and feeders_of(0) is None):
-        return None
-    return extend(0, 0)
+    try:
+        nodes = 1  # the root
+        if budget is not None and nodes > budget:
+            raise BudgetExceededError(spent)
+        bound_of[0] = t.packing_bound(all_edges)
+        if bound_of[0] > open_slots[0] + k or (n > 0 and feeders_of(0) is None):
+            return None
+        return extend(0, 0)
+    finally:
+        del extend  # it reaches itself through its cell: free it without the collector
 
 
 def _assemble(g: Graph, k: int, order: list[int], feeders: list[Iterable[int]]) -> RealizationWitness:

@@ -8,7 +8,8 @@ graph6 from one bit list per string, and the general bound's report from one
 capped cover search per vertex subset.  The one exception reads the
 realizer's own search nodes, through nothing but its public budget, and keeps
 the realizer's search with both tests on node entry as the reference for the
-one that tests each child in its parent.
+one that tests each child in its parent; likewise the cover kernel's
+recursive search stays here as the reference for its loop.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from compnum import (
     find_realization,
 )
 from compnum.bounds import BoundReport, BoundTerm
-from compnum.covers import _Cliques, _oracle
+from compnum.covers import _Cliques, _oracle, _packing_bound
+from compnum.graphs import _bits
 from compnum.realizer import RealizationWitness, _assemble
 
 
@@ -432,6 +434,37 @@ def inline_canonical_key(g: Graph, max_orders: int = 720) -> tuple[int, int] | N
         if best is None or code < best:
             best = code
     return n, best
+
+
+# -- the cover kernel, recursive -------------------------------------------------
+
+
+def literal_search(universe: int, family, barrier: int, goal: int) -> tuple[int, ...] | None:
+    """covers._search as one recursive call per chosen set: the same tree in
+    the same order, with the same recording rule, for the kernel to match
+    tuple for tuple."""
+    cands, holders, shadows, tiers = family
+    found = None
+
+    def search(uncovered: int, chosen: tuple[int, ...]) -> bool:
+        nonlocal found, barrier
+        if not uncovered:
+            found, barrier = tuple(sorted(chosen)), len(chosen)
+            return barrier <= goal
+        if len(chosen) + _packing_bound(uncovered, shadows) >= barrier:
+            return False
+        for tier in tiers:
+            if tier & uncovered:
+                break
+        tier &= uncovered
+        for i in _bits(holders[(tier & -tier).bit_length() - 1]):
+            if search(uncovered & ~cands[i], chosen + (i,)):
+                return True
+        return False
+
+    if barrier > 0:
+        search(universe, ())
+    return found
 
 
 # -- the general bound, one subset at a time -------------------------------------

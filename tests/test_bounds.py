@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -19,7 +20,13 @@ from compnum import (
     star_graph,
 )
 from compnum.covers import _Cliques
-from oracles import brute_subset_term, brute_vertex_cover_number, literal_general_bound
+from oracles import (
+    brute_subset_term,
+    brute_vertex_cover_number,
+    has_triangle,
+    is_connected,
+    literal_general_bound,
+)
 
 
 class TestOpsutEdgeBound:
@@ -223,6 +230,37 @@ class TestGeneralBound:
             first_min = min(values, key=lambda s: (values[s], s))
             assert (term.value, term.subset) == (values[first_min], first_min)
         assert general_bound(g, prune=True).general == full.general
+
+
+def triangle_free_draw(n: int, rng: random.Random) -> Graph:
+    """A random spanning tree plus about n/2 edges that close no triangle."""
+    adj = [0] * n
+    for v in range(1, n):
+        u = rng.randrange(v)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    added = 0
+    for _ in range(50 * n):
+        if added == n // 2:
+            break
+        u, v = rng.sample(range(n), 2)
+        if not adj[u] >> v & 1 and not adj[u] & adj[v]:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            added += 1
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1])
+
+
+@pytest.mark.parametrize("n", [16, 17, 18, 20])
+def test_the_pruned_scan_meets_the_triangle_free_closed_form(n):
+    # Past the literal scan's reach: on a connected triangle-free graph every
+    # clique is an edge, so theta_e = |E|, and k = |E| - n + 2 (Roberts
+    # 1978); the general bound lies between opsut_edge_bound and k, so it is
+    # |E| - n + 2 exactly.
+    g = triangle_free_draw(n, random.Random(1978 + n))
+    assert is_connected(g) and not has_triangle(g) and g.edge_count >= n - 1 + n // 2
+    report = general_bound(g, prune=True)
+    assert report.general == report.opsut_edge == g.edge_count - n + 2
 
 
 def assert_scan_is_literal(g: Graph) -> None:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from itertools import combinations
 from math import inf
 
@@ -28,6 +29,7 @@ from compnum import (
 )
 from compnum import covers, graphs
 from compnum.covers import _Cliques, _family, _min_cover, _packing_bound, _search
+from compnum.graphs import _bits
 from oracles import (
     adjacency_masks,
     brute_edge_cover_number,
@@ -36,6 +38,7 @@ from oracles import (
     brute_vertex_cover_number,
     element_packing_bound,
     has_triangle,
+    literal_search,
     set_maximal_cliques,
 )
 
@@ -308,6 +311,81 @@ class TestSearchContract:
                     assert universe & ~covered == 0
                     if goal == -1:  # an exhaustive search ends on a minimum cover
                         assert len(found) == size
+
+
+class TestLoopAgainstTheRecursiveSearch:
+    # The kernel's loop walks the recursive search's tree in the same order
+    # and records covers by the same rule, so every query returns the same
+    # tuple, not just one of the same size.
+    @staticmethod
+    def assert_same(universe, family):
+        full = literal_search(universe, family, len(family.cands) + 1, -1)
+        size = len(family.cands) if full is None else len(full)
+        for barrier in range(-2, size + 2):
+            for goal in (-1, barrier - 1):
+                expected = literal_search(universe, family, barrier, goal)
+                assert _search(universe, family, barrier, goal) == expected, (universe, barrier, goal)
+
+    @staticmethod
+    def random_cands(rng, width, count):
+        density = rng.choice((0.15, 0.3, 0.5))
+        cands = [sum(1 << b for b in range(width) if rng.random() < density) for _ in range(count)]
+        held = 0
+        for c in cands:
+            held |= c
+        cands[-1] |= ((1 << width) - 1) & ~held
+        return cands
+
+    def test_random_families(self):
+        rng = random.Random(22)
+        for trial in range(800):
+            width = rng.randrange(0, 15)
+            family = _family(self.random_cands(rng, width, rng.randrange(1, 13)), width)
+            universe = rng.getrandbits(width) if trial % 3 == 0 else (1 << width) - 1
+            self.assert_same(universe, family)
+
+    def test_forced_chains(self):
+        # Elements 0..chain-1 each have one holder of their own, which may
+        # hold later elements too: a run of forced picks, then branching.
+        rng = random.Random(23)
+        for trial in range(200):
+            chain, width = rng.randrange(1, 40), rng.randrange(0, 10)
+            private = [1 << b | rng.getrandbits(width) << chain for b in range(chain)]
+            rest = [c << chain for c in self.random_cands(rng, width, rng.randrange(1, 8))]
+            cands = private + rest if trial % 2 else rest + private
+            self.assert_same((1 << chain + width) - 1, _family(cands, chain + width))
+
+    def test_holder_masked_families(self):
+        # As _certified_cover asks: holders cut down to the candidates after
+        # some i, on a universe those later candidates may not cover.
+        rng = random.Random(24)
+        for trial in range(400):
+            width = rng.randrange(1, 13)
+            count = rng.randrange(2, 12)
+            family = _family(self.random_cands(rng, width, count), width)
+            later = -2 << rng.randrange(count)
+            masked = family._replace(holders=[h & later for h in family.holders])
+            universe = (1 << width) - 1
+            for i in _bits(~later & ((1 << count) - 1)):
+                if rng.random() < 0.5:
+                    universe &= ~family.cands[i]
+            self.assert_same(universe, masked)
+
+    def test_a_long_forced_chain_needs_no_recursion_headroom(self):
+        # 400 elements with one holder each: 400 picks deep, with the
+        # recursion limit only 50 frames above the caller.
+        width = 400
+        family = _family([1 << b for b in range(width)], width)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            found = _search((1 << width) - 1, family, width + 1, -1)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert found == tuple(range(width))
 
 
 class TestFits:

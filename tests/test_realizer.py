@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import tracemalloc
@@ -28,7 +29,7 @@ from compnum import (
     random_graphs,
     verify_realization,
 )
-from compnum.covers import _Cliques, _oracle, _search
+from compnum.covers import _Cliques, _certified_cover, _min_cover, _oracle, _search
 from oracles import has_triangle, is_connected, least_budget, level_node_counts, literal_find_realization
 
 
@@ -593,3 +594,35 @@ class TestCoverFromWitness:
         scrambled = RealizationWitness(k=1, digraph=d, ordering=(2, 0, 1))
         with pytest.raises(ValueError, match="ordering"):
             cover_from_witness(g, scrambled, 1)
+
+
+def test_no_answer_leaves_garbage_for_the_collector():
+    # The kernel is a loop, and each recursive closure is deleted before its
+    # function returns, so nothing here makes a reference cycle: with the
+    # collector off, a collection finds nothing after each kind of call.
+    gs = random_graphs(9, 0.5, 22, 20)
+    gc.collect()
+    gc.disable()
+    try:
+        for g in gs:
+            _Cliques(g)
+        assert gc.collect() == 0
+        for g in gs:
+            general_bound(g)
+            general_bound(g, prune=True)
+        assert gc.collect() == 0
+        for g in gs:
+            competition_number(g)
+            with pytest.raises(BudgetExceededError):
+                competition_number(g, start_k=0, budget=3)
+        assert gc.collect() == 0
+        for g in gs:
+            t, edges = _oracle(g), (1 << g.edge_count) - 1
+            size = t.cover(edges)[0]
+            for cap in range(size - 2, size + 2):
+                _search(edges, t.edge_family, cap + 1, cap)
+                _min_cover(edges, t.edge_family, cap)
+            _certified_cover(edges, t.edge_family)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
