@@ -89,6 +89,24 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
 # an element is skipped iff a candidate already used holds it, that is iff it
 # lies in the shadow of an element already counted; so clearing each counted
 # element's shadow counts exactly the same elements, one step per count.
+#
+# A node is cut when its picks plus a lower bound on its residual's cover
+# reach the barrier, and any proven lower bound that is at least 1 on a
+# nonempty residual records the same covers in the same order.  Say one such
+# bound keeps a node that another cuts.  Its subtree holds no cover below the
+# barrier, and each node kept in it has picks plus bound below the barrier,
+# so a child that is a cover would be one below the barrier: none is, so the
+# subtree records nothing and leaves the barrier where it was.  The loop thus
+# carries ``credit``, a proven lower bound on the residual's cover.  A node
+# that counts its packing bound sets credit to it, and a pick passes
+# credit - 1 down, since the child's cover plus the pick covers the parent's
+# residual.  A node whose branch element has one holder and whose credit is
+# at least 1 tests with the credit and counts nothing.  It was reached by
+# picks alone from the last node that counted, with no cover recorded since,
+# so the barrier has not moved and that node's test still holds.  A popped
+# frame resets credit to 0, as the subtrees before it may have moved the
+# barrier.  A run of forced picks so counts once at its top instead of once
+# per pick, which made it quadratic in its length.
 
 
 class CoverInstance:
@@ -144,37 +162,46 @@ def _search(universe: int, family: _Family, barrier: int, goal: int) -> tuple[in
     The tree is walked depth first by one loop (see the comment above):
     ``chosen`` holds the picks on the path to the node, ``base`` the mask a
     branch point left uncovered, and each stack frame (base, untried
-    holders, depth) a branch point still to go back to."""
+    holders, depth) a branch point still to go back to.  ``credit`` is a
+    proven lower bound on the residual's cover, which a forced pick below a
+    node that counted its packing bound tests with instead of counting again;
+    no bound at least 1 changes what the search records."""
     if barrier <= 0:
         return None
     cands, holders, shadows, tiers = family
     found = None
     chosen: list[int] = []
     stack: list[tuple[int, int, int]] = []
-    uncovered = universe
+    uncovered, credit = universe, 0
     while True:
         options = 0  # the holders to try from this node
         if not uncovered:
             found, barrier = tuple(sorted(chosen)), len(chosen)
             if barrier <= goal:
                 return found
-        elif len(chosen) + _packing_bound(uncovered, shadows) < barrier:
+        else:
             for tier in tiers:
                 if tier & uncovered:
                     break
             tier &= uncovered
-            base, options, depth = uncovered, holders[(tier & -tier).bit_length() - 1], len(chosen)
+            held = holders[(tier & -tier).bit_length() - 1]
+            if credit < 1 or held & (held - 1):
+                credit = _packing_bound(uncovered, shadows)
+            if len(chosen) + credit < barrier:
+                base, options, depth = uncovered, held, len(chosen)
         if not options:  # back to the last branch point with holders left
             if not stack:
                 return found
             base, options, depth = stack.pop()
             del chosen[depth:]
+            credit = 0
         low = options & -options
         if options != low:
             stack.append((base, options ^ low, depth))
         i = low.bit_length() - 1
         chosen.append(i)
         uncovered = base & ~cands[i]
+        credit -= 1
 
 
 def _min_cover(
@@ -284,7 +311,8 @@ class _Cliques:
     bit i; no other code knows the edge bits.  ``cliques[j]`` has the masks
     ``vertex_masks[j]`` and ``edge_masks[j]``, ``vertex_family`` and
     ``edge_family`` lay them out for the kernel, ``bit`` maps an edge to its
-    bit, and ``incident[v]`` masks the edges at v.
+    bit, ``incident[v]`` masks the edges at v, and ``rows`` are the graph's
+    adjacency masks.
 
     Induced subgraphs G[S] need no second enumeration.  Every trace C & S is
     a clique of G[S], and every clique of G[S] lies in some maximal C, hence
@@ -308,6 +336,7 @@ class _Cliques:
     def __init__(self, g: Graph):
         edges = g.edges()
         self.cliques = maximal_cliques(g)
+        self.rows = g.rows
         self.bit = {e: 1 << i for i, e in enumerate(edges)}
         self.vertex_masks = [sum(1 << v for v in c) for c in self.cliques]
         self.edge_masks = [sum(self.bit[e] for e in combinations(sorted(c), 2)) for c in self.cliques]
@@ -382,13 +411,28 @@ class _Cliques:
         """The maximal cliques of G[S] for the vertex mask of S, as (members,
         edge mask), sorted by members as maximal_cliques(G[S]) sorts them.
         ``leaving``, the edges with an end outside S, is computed unless the
-        caller has it."""
+        caller has it.
+
+        They are the maximal nonempty traces C & S (see the class), and a
+        trace t is maximal iff no vertex of S outside t is adjacent to all of
+        t: such a vertex extends t to a clique of G[S], which lies in a larger
+        trace, and a larger trace holds such a vertex.  So each trace is kept
+        by one AND over its members' adjacency masks, with no comparison
+        between traces."""
         if leaving is None:
             leaving = self.edges_at(((1 << len(self.incident)) - 1) & ~vertices)
+        rows = self.rows
         pairs = zip(self.vertex_masks, self.edge_masks)
         traces = {c & vertices: e & ~leaving for c, e in pairs if c & vertices}
-        maximal = [t for t in traces if not any(t != s and t & s == t for s in traces)]
-        return sorted((tuple(_bits(t)), traces[t]) for t in maximal)
+        maximal = []
+        for t, e in traces.items():
+            members = tuple(_bits(t))
+            extenders = vertices
+            for v in members:
+                extenders &= rows[v]
+            if not extenders:
+                maximal.append((members, e))
+        return sorted(maximal)
 
 
 # The only place an oracle is built: every entry point looks its graph's up

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .bounds import general_bound
 from .covers import _oracle
-from .graphs import CycleError, Digraph, Graph, _arc_order, _predators, write_arc_list, write_dot
+from .graphs import CycleError, Digraph, Graph, _arc_order, _bits, _predators, write_arc_list, write_dot
 
 
 class BudgetExceededError(Exception):
@@ -142,6 +142,8 @@ def verify_realization(g: Graph, k: int, d: Digraph) -> Verification:
 # The maximal cliques of the prefix subgraph G[P] are read off the host's
 # (covers._Cliques.within).  The search state is two ints: the placed
 # vertices and the covered edges, as masks in the layout of covers._Cliques.
+# A node also carries two edge masks that the placed mask determines (see
+# ``feeders_of`` below).
 #
 # Two tests cut a node whose subtree holds no realization.  The packing test:
 # the residual edges must fit into the feeder slots still open plus the k
@@ -178,13 +180,17 @@ def verify_realization(g: Graph, k: int, d: Digraph) -> Verification:
 # outside the covered mask, whatever the placed mask or the depth, so the key
 # is the covered mask alone and each residual is counted once per level; only
 # the open slots it is compared with change from node to node.
-# ``feeders_of`` reads only the placed mask: it returns the prefix's feeder
-# cliques when the tail inequality holds and None when it fails, and it is
-# asked only after the packing test passes.  The edges at the unplaced
-# vertices are gathered once: the tail test covers them, and ``within`` clips
-# them off the feeder traces.  A leaf asks ``fits`` first,
-# which stops at the first cover within k, and asks for the cover itself
-# only when one exists.
+# ``feeders_of`` reads the placed mask and ``leaving``, the edges with an end
+# outside it, which is a function of the placed mask: it returns the prefix's
+# feeder cliques when the tail inequality holds and None when it fails, and it
+# is asked only after the packing test passes.  The tail test covers
+# ``leaving``, and ``within`` clips it off the feeder traces.  No node gathers
+# it from the unplaced vertices: each node carries it with ``touched``, the
+# edges with an end inside the placed mask, and placing v closes exactly the
+# edges at v that are touched, so the child gets leaving & ~(incident[v] &
+# touched) and touched | incident[v].  A leaf asks ``fits`` first, which stops
+# at the first cover within k, and asks for the cover itself only when one
+# exists.
 #
 # One memo lives for the whole graph, on its cover oracle (covers._Cliques),
 # because it does not depend on k: the table of proven cover bounds, which
@@ -227,10 +233,8 @@ def find_realization(
     open_slots = tuple(max(0, n - max(depth, 2)) for depth in range(n + 1))
 
     @functools.cache
-    def feeders_of(placed: int) -> list[tuple[tuple[int, ...], int]] | None:
-        unplaced = ((1 << n) - 1) & ~placed
-        leaving = t.edges_at(unplaced)
-        if not t.fits(leaving, unplaced.bit_count() - 1 + k):
+    def feeders_of(placed: int, leaving: int) -> list[tuple[tuple[int, ...], int]] | None:
+        if not t.fits(leaving, n - placed.bit_count() - 1 + k):
             return None
         return t.within(placed, leaving) if placed.bit_count() >= 2 else [((), 0)]
 
@@ -240,7 +244,7 @@ def find_realization(
     order: list[int] = []
     chosen: list[tuple[int, ...]] = []
 
-    def extend(placed: int, covered: int) -> RealizationWitness | None:
+    def extend(placed: int, covered: int, leaving: int, touched: int) -> RealizationWitness | None:
         # The parent has counted this node, and it passed both tests.
         nonlocal nodes
         depth = len(order)
@@ -249,7 +253,7 @@ def find_realization(
             if t.fits(residual, k) and (found := t.cover(residual, k)) is not None:
                 return _assemble(g, k, order, chosen + [t.cliques[i] for i in found[1]])
         else:
-            feeders = feeders_of(placed)
+            feeders = feeders_of(placed, leaving)
             # (run, members, covered mask) per feeder whose children pass the
             # packing test; run counts it and the refused feeders before it
             passing = []
@@ -264,10 +268,12 @@ def find_realization(
                     passing.append((run, members, mask))
                     run = 0
             inner = depth + 1 < n  # the children are not leaves
-            for v in range(n):
-                if placed >> v & 1 or (depth == 1 and v < order[0]):
-                    continue  # placed already, or the first two are interchangeable
+            free = ((1 << n) - 1) & ~placed
+            if depth == 1:
+                free &= -1 << order[0]  # the first two are interchangeable
+            for v in _bits(free):
                 child = placed | 1 << v
+                child_leaving = leaving & ~(t.incident[v] & touched)
                 left = len(feeders)  # this child's nodes not yet counted
                 order.append(v)
                 for run, members, mask in passing:
@@ -277,10 +283,10 @@ def find_realization(
                         raise BudgetExceededError(spent)
                     if (child, mask) in dead:
                         continue
-                    if inner and feeders_of(child) is None:
+                    if inner and feeders_of(child, child_leaving) is None:
                         break  # the tail test refuses the child with every feeder
                     chosen.append(members)
-                    witness = extend(child, mask)
+                    witness = extend(child, mask, child_leaving, touched | t.incident[v])
                     if witness is not None:
                         return witness
                     chosen.pop()
@@ -296,9 +302,9 @@ def find_realization(
         if budget is not None and nodes > budget:
             raise BudgetExceededError(spent)
         bound_of[0] = t.packing_bound(all_edges)
-        if bound_of[0] > open_slots[0] + k or (n > 0 and feeders_of(0) is None):
+        if bound_of[0] > open_slots[0] + k or (n > 0 and feeders_of(0, all_edges) is None):
             return None
-        return extend(0, 0)
+        return extend(0, 0, all_edges, 0)
     finally:
         del extend  # it reaches itself through its cell: free it without the collector
 

@@ -9,7 +9,8 @@ capped cover search per vertex subset.  The one exception reads the
 realizer's own search nodes, through nothing but its public budget, and keeps
 the realizer's search with both tests on node entry as the reference for the
 one that tests each child in its parent; likewise the cover kernel's
-recursive search stays here as the reference for its loop.
+recursive search stays here as the reference for its loop, with a second
+recursive statement of which nodes the loop counts a packing bound at.
 """
 
 from __future__ import annotations
@@ -465,6 +466,41 @@ def literal_search(universe: int, family, barrier: int, goal: int) -> tuple[int,
     if barrier > 0:
         search(universe, ())
     return found
+
+
+def literal_counted_bounds(universe: int, family, barrier: int, goal: int) -> list[int]:
+    """The residuals whose packing bound covers._search counts, in order, by
+    its credit rule stated on the recursive search: a node counts unless its
+    branch element has one holder and the credit handed to it is at least 1,
+    and it hands its first child credit - 1 and each later child, met after
+    a sibling's subtree may have moved the barrier, no credit."""
+    cands, holders, shadows, tiers = family
+    counted = []
+
+    def search(uncovered: int, depth: int, credit: int) -> bool:
+        nonlocal barrier
+        if not uncovered:
+            barrier = depth
+            return barrier <= goal
+        for tier in tiers:
+            if tier & uncovered:
+                break
+        tier &= uncovered
+        held = holders[(tier & -tier).bit_length() - 1]
+        if credit < 1 or held & (held - 1):
+            counted.append(uncovered)
+            credit = _packing_bound(uncovered, shadows)
+        if depth + credit >= barrier:
+            return False
+        for i in _bits(held):
+            if search(uncovered & ~cands[i], depth + 1, credit - 1):
+                return True
+            credit = 0
+        return False
+
+    if barrier > 0:
+        search(universe, 0, 0)
+    return counted
 
 
 # -- the general bound, one subset at a time -------------------------------------

@@ -38,6 +38,7 @@ from oracles import (
     brute_vertex_cover_number,
     element_packing_bound,
     has_triangle,
+    literal_counted_bounds,
     literal_search,
     set_maximal_cliques,
 )
@@ -336,6 +337,19 @@ class TestLoopAgainstTheRecursiveSearch:
         cands[-1] |= ((1 << width) - 1) & ~held
         return cands
 
+    @staticmethod
+    def counted_bounds(monkeypatch) -> list[int]:
+        """The residuals the kernel counts a packing bound of, in order, from
+        here on."""
+        counted = []
+
+        def spy(uncovered, shadows):
+            counted.append(uncovered)
+            return _packing_bound(uncovered, shadows)
+
+        monkeypatch.setattr(covers, "_packing_bound", spy)
+        return counted
+
     def test_random_families(self):
         rng = random.Random(22)
         for trial in range(800):
@@ -386,6 +400,52 @@ class TestLoopAgainstTheRecursiveSearch:
         finally:
             sys.setrecursionlimit(limit)
         assert found == tuple(range(width))
+
+    def test_the_loop_counts_the_bounds_the_credit_rule_counts(self, monkeypatch):
+        # A node tests with its credit instead of counting only on a forced
+        # pick reached by picks alone from the last node that counted: the
+        # loop counts the packing bounds of the residuals the recursive
+        # statement of that rule counts, in the same order, on random
+        # families, on families with forced chains, and on holder-masked
+        # families, where a pick below a branch point can be forced.
+        counted = self.counted_bounds(monkeypatch)
+        # Candidate 0 is masked off, so element 2 has one holder.  The root
+        # counts 2 and picks 1, whose residual counts 2 and is cut; then the
+        # pop to candidate 4 leaves element 2 forced, and the cut sibling's
+        # credit says nothing about it, so its residual is counted too.
+        family = _family([0b100, 0b001, 0b100, 0b010, 0b011], 3)
+        family = family._replace(holders=[h & -2 for h in family.holders])
+        assert _search(0b111, family, 3, -1) == (2, 4)
+        assert counted == literal_counted_bounds(0b111, family, 3, -1) == [0b111, 0b110, 0b100]
+        rng = random.Random(27)
+        for trial in range(600):
+            chain, width = rng.randrange(0, 20) if trial % 2 else 0, rng.randrange(0, 12)
+            private = [1 << b | rng.getrandbits(width) << chain for b in range(chain)]
+            cands = private + [c << chain for c in self.random_cands(rng, width, rng.randrange(1, 10))]
+            family = _family(cands, chain + width)
+            universe = (1 << chain + width) - 1
+            if trial % 3 == 0:
+                universe &= rng.getrandbits(chain + width)
+            if trial % 3 == 1:  # as _certified_cover asks
+                later = -2 << rng.randrange(len(cands))
+                family = family._replace(holders=[h & later for h in family.holders])
+                for i in _bits(~later & ((1 << len(cands)) - 1)):
+                    universe &= ~cands[i]
+            for barrier in range(-1, len(cands) + 2):
+                for goal in (-1, barrier - 1):
+                    counted.clear()
+                    _search(universe, family, barrier, goal)
+                    expected = literal_counted_bounds(universe, family, barrier, goal)
+                    assert counted == expected, (trial, barrier, goal)
+
+    def test_a_long_forced_chain_counts_its_packing_bound_once(self, monkeypatch):
+        # Each forced pick tests with the credit its parent passed down, so
+        # only the root counts: once, where a count per pick is quadratic.
+        width = 400
+        family = _family([1 << b for b in range(width)], width)
+        counted = self.counted_bounds(monkeypatch)
+        assert _search((1 << width) - 1, family, width + 1, -1) == tuple(range(width))
+        assert counted == [(1 << width) - 1]
 
 
 class TestFits:
@@ -591,6 +651,27 @@ class TestCliqueTable:
                     clique = tuple(members[i] for i in sorted(c))
                     expected.append((clique, sum(t.bit[e] for e in combinations(clique, 2))))
                 assert t.within(s) == expected, (g, members)
+
+    def test_within_past_five_vertices(self):
+        # The adjacency test on seeded draws with n = 8..14 and random vertex
+        # masks S, with the edges leaving S handed in and left to within,
+        # against an enumeration of G[S] itself.
+        rng = random.Random(26)
+        for n in range(8, 15):
+            for p in (0.3, 0.5, 0.7):
+                for g in random_graphs(n, p, rng.randrange(10**6), 2):
+                    t = _Cliques(g)
+                    for _ in range(40):
+                        s = rng.getrandbits(n)
+                        members = [v for v in range(n) if s >> v & 1]
+                        sub, _ = g.induced_subgraph(members)
+                        expected = []
+                        for c in maximal_cliques(sub):
+                            clique = tuple(members[i] for i in sorted(c))
+                            expected.append((clique, sum(t.bit[e] for e in combinations(clique, 2))))
+                        leaving = sum(t.bit[(u, v)] for u, v in g.edges() if not s >> u & s >> v & 1)
+                        assert t.within(s, leaving) == expected, (g.edges(), members)
+                        assert t.within(s) == expected, (g.edges(), members)
 
     def test_edges_at_is_the_incident_edge_set(self, graphs_up_to_3, graphs_4, graphs_5):
         for g in graphs_up_to_3 + graphs_4 + graphs_5:

@@ -342,8 +342,37 @@ class TestFindRealization:
             bounded.clear()
             covered.clear()
             w = find_realization(g, k)
+            assert bounded, (g.edges(), k)
             assert len(bounded) == len(set(bounded)), (g.edges(), k)
             assert len(covered) == (w is not None), (g.edges(), k)
+
+    def test_the_carried_masks_ask_the_same_cover_questions(self, monkeypatch):
+        # A child's leaving mask is its parent's minus the edges the placed
+        # vertex closes, not gathered from the unplaced vertices.  A wrong
+        # mask that kept every witness would still change a tail question,
+        # so every level 0..k(G) must ask fits the (edges, cap) sequence of
+        # the search that gathers it with edges_at at every prefix (oracles).
+        asked = []
+        fits = _Cliques.fits
+
+        def spy(self, edges, cap):
+            asked.append((edges, cap))
+            return fits(self, edges, cap)
+
+        monkeypatch.setattr(_Cliques, "fits", spy)
+        graphs = [g for i, (n, p) in enumerate((n, p) for n in range(8, 13) for p in (0.3, 0.5))
+                  for g in random_graphs(n, p, 2300 + i, 2)]
+        questions = 0
+        for g in graphs:
+            for k in range(competition_number(g)[0] + 1):
+                asked.clear()
+                w = find_realization(g, k)
+                carried = asked[:]
+                asked.clear()
+                assert literal_find_realization(g, k) == w, (g.edges(), k)
+                assert carried == asked, (g.edges(), k)
+                questions += len(asked)
+        assert questions
 
     def test_witness_on_63_vertices(self):
         g = path_graph(62)
