@@ -24,9 +24,10 @@ from .graphs import (
     Graph,
     GraphParseError,
     _graph6_rows,
+    _graph6_text,
+    _labeled_codes,
     _rows_graph,
     _rows_key,
-    all_labeled_graphs,
     generate,
     parse_arc_list,
     parse_graph6,
@@ -239,7 +240,7 @@ def cmd_survey(args) -> int:
     if args.all_labeled is not None:
         if not 0 <= args.all_labeled <= MAX_ENUMERATION_VERTICES:
             _PARSER.error(f"--all-labeled supports 0..{MAX_ENUMERATION_VERTICES} vertices")
-        lines = [write_graph6(g) for g in all_labeled_graphs(args.all_labeled)]
+        lines = [_graph6_text(args.all_labeled, code) for code in _labeled_codes(args.all_labeled)]
     else:
         with open(args.input) as fh:
             lines = [line.strip() for line in fh if line.strip()]

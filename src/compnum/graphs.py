@@ -277,9 +277,10 @@ def is_acyclic(d: Digraph) -> bool:
 # -- graph6 ----------------------------------------------------------------
 
 
-def _pair_order(n: int) -> list[tuple[int, int]]:
-    """Upper-triangle pairs in graph6 column order."""
-    return [(i, j) for j in range(1, n) for i in range(j)]
+# Every graph6 writer, reader and enumerator below passes one integer around,
+# the bit pattern: the upper-triangle pairs in column order, pair (0, 1) as
+# the most significant bit, with no padding.  The enumeration counts through
+# the patterns read backwards, so there pair (0, 1) is the counter's lowest bit.
 
 
 def parse_graph6(text: str) -> Graph:
@@ -321,8 +322,14 @@ def _graph6_rows(text: str) -> list[int]:
     pad = 6 * nbytes - npairs  # below 6, so all padding sits in the last data byte
     if code & ((1 << pad) - 1):
         raise GraphParseError(f"byte {nbytes}: nonzero padding bit")
+    return _code_rows(n, code >> pad)
+
+
+def _code_rows(n: int, code: int) -> list[int]:
+    """The adjacency masks of the graph on n vertices with bit pattern
+    ``code``, one per vertex."""
     # column j holds the pairs (0, j) .. (j - 1, j), the first as its top bit
-    rows, left = [0] * n, 6 * nbytes
+    rows, left = [0] * n, n * (n - 1) // 2
     for j in range(1, n):
         left -= j
         column = code >> left & ((1 << j) - 1)
@@ -360,12 +367,33 @@ def _pattern(rows: Sequence[int], cells: Sequence[int]) -> int:
     return code
 
 
+def _graph6_text(n: int, code: int) -> str:
+    """The graph6 line of the graph on n vertices with bit pattern ``code``."""
+    npairs = n * (n - 1) // 2
+    nbytes = (npairs + 5) // 6
+    code <<= 6 * nbytes - npairs  # zero padding
+    return chr(63 + n) + "".join(chr(63 + (code >> 6 * k & 63)) for k in range(nbytes - 1, -1, -1))
+
+
 def write_graph6(g: Graph) -> str:
     """Encode a graph as a canonical graph6 line (exact inverse of parse)."""
-    npairs = g.n * (g.n - 1) // 2
-    nbytes = (npairs + 5) // 6
-    code = _pattern(g.rows, [(1 << g.n) - 1]) << 6 * nbytes - npairs  # zero padding
-    return chr(63 + g.n) + "".join(chr(63 + (code >> 6 * k & 63)) for k in range(nbytes - 1, -1, -1))
+    return _graph6_text(g.n, _pattern(g.rows, [(1 << g.n) - 1]))
+
+
+def _labeled_codes(n: int) -> Iterator[int]:
+    """The bit pattern of every labeled graph on n vertices, in increasing
+    order of the pattern read backwards: a counter whose lowest bit is the
+    pattern's top bit, pair (0, 1)."""
+    top, code = 1 << n * (n - 1) // 2 >> 1, 0
+    while True:
+        yield code
+        bit = top
+        while code & bit:  # carry: clear the trailing ones, from the top
+            code ^= bit
+            bit >>= 1
+        if not bit:
+            return
+        code |= bit
 
 
 # -- canonical form ----------------------------------------------------------
@@ -649,8 +677,8 @@ def generate(family: str, params: Sequence[float], seed: int | None = None) -> G
 
 def all_labeled_graphs(n: int, force: bool = False) -> Iterator[Graph]:
     """Every labeled simple graph on n vertices, exactly once, in increasing
-    order of the upper-triangle bit pattern (graph6 column order, bit k of the
-    pattern being pair k).
+    order of the upper-triangle mask whose bit k is pair k in graph6 column
+    order: the order of _labeled_codes.
 
     There are 2^(n(n-1)/2) of them, so n > 6 is refused unless force=True.
     """
@@ -660,6 +688,5 @@ def all_labeled_graphs(n: int, force: bool = False) -> Iterator[Graph]:
         raise ValueError(
             f"{2 ** (n * (n - 1) // 2)} graphs on {n} vertices; pass force=True to enumerate anyway"
         )
-    pairs = _pair_order(n)
-    for mask in range(1 << len(pairs)):
-        yield Graph(n, [pairs[k] for k in range(len(pairs)) if (mask >> k) & 1])
+    for code in _labeled_codes(n):
+        yield _rows_graph(_code_rows(n, code))

@@ -4,13 +4,14 @@ Everything here deliberately avoids the package's solver paths: covers are
 found by exhaustive subfamily enumeration over all cliques (not just maximal
 ones), competition numbers by enumerating vertex permutations together
 with every forward arc set, digraph checks from dense per-vertex tables,
-graph6 from one bit list per string, and the general bound's report from one
-capped cover search per vertex subset.  The one exception reads the
-realizer's own search nodes, through nothing but its public budget, and keeps
-the realizer's search with both tests on node entry as the reference for the
-one that tests each child in its parent; likewise the cover kernel's
-recursive search stays here as the reference for its loop, with a second
-recursive statement of which nodes the loop counts a packing bound at.
+graph6 from one bit list per string, labeled graphs from one edge list per
+mask, and the general bound's report from one capped cover search per vertex
+subset.  The one exception reads the realizer's own search nodes, through
+nothing but its public budget, and keeps the realizer's search with both
+tests on node entry as the reference for the one that tests each child in
+its parent; likewise the cover kernel's recursive search stays here as the
+reference for its loop, with a second recursive statement of which nodes
+the loop counts a packing bound at.
 """
 
 from __future__ import annotations
@@ -392,6 +393,15 @@ def bitlist_parse_graph6(text: str) -> Graph:
             raise GraphParseError(f"byte {1 + idx // 6}: nonzero padding bit")
     pairs = [(i, j) for j in range(1, n) for i in range(j)]
     return Graph(n, [pairs[idx] for idx in range(npairs) if bits[idx]])
+
+
+def literal_all_labeled_graphs(n: int):
+    """Every labeled graph on n vertices, built from an edge list per mask in
+    increasing mask order, bit k of the mask being pair k in graph6 column
+    order."""
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    for mask in range(1 << len(pairs)):
+        yield Graph(n, [pairs[k] for k in range(len(pairs)) if mask >> k & 1])
 
 
 def packer_write_graph6(g: Graph) -> str:

@@ -18,6 +18,7 @@ from compnum import (
 from compnum import cli, covers
 from compnum.cli import main
 from compnum.graphs import MAX_ENUMERATION_VERTICES, Graph
+from oracles import literal_all_labeled_graphs
 
 
 def run_cli(capsys, *argv):
@@ -331,9 +332,9 @@ class TestSurvey:
         assert len(enumerated) == 11
 
     def test_a_known_class_builds_no_graph(self, capsys, monkeypatch):
-        # the generator builds the 64 labeled graphs; each row decodes its
-        # line to adjacency masks and keys it from them, so only the first
-        # row of each of the 11 classes builds a graph, to solve it
+        # --all-labeled writes each line from its bit pattern; each row
+        # decodes its line to adjacency masks and keys it from them, so only
+        # the first row of each of the 11 classes builds a graph, to solve it
         builds = []
         init = Graph.__init__
 
@@ -344,7 +345,7 @@ class TestSurvey:
         monkeypatch.setattr(Graph, "__init__", counted)
         code, _, _ = run_cli(capsys, "survey", "--all-labeled", "4", "--with-exact")
         assert code == 0
-        assert len(builds) == 64 + 11
+        assert len(builds) == 11
 
     def test_single_graph(self, capsys, tmp_path):
         src = tmp_path / "in.g6"
@@ -436,6 +437,28 @@ class TestSurvey:
             return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
 
         assert stable(one) == stable(two)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("output", ["x.csv", "x.jsonl", None])
+    def test_all_labeled_is_the_survey_of_the_written_lines(self, capsys, tmp_path, jobs, output):
+        # every column but millis, against the lines the per-pair enumeration
+        # writes, read back through --input
+        def survey(*argv):
+            path = tmp_path / output if output else None
+            code, out, _ = run_cli(capsys, "survey", *argv, "--with-exact", "--jobs", jobs,
+                                   *(["-o", str(path)] if path else []))
+            assert code == 0
+            lines = (path.read_text() if path else out).splitlines()
+            if output == "x.jsonl":
+                return [{k: v for k, v in json.loads(line).items() if k != "millis"} for line in lines]
+            return [line.rsplit(",", 1)[0] for line in lines]
+
+        src = tmp_path / "in.g6"
+        for n in range(6):
+            src.write_text("".join(write_graph6(g) + "\n" for g in literal_all_labeled_graphs(n)))
+            rows = survey("--all-labeled", str(n))
+            assert len(rows) == 2 ** (n * (n - 1) // 2) + (output != "x.jsonl")
+            assert rows == survey("--input", str(src))
 
     @staticmethod
     def jsonl_rows(capsys, tmp_path, *argv):

@@ -1,6 +1,6 @@
 import random
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, islice
 
 import networkx as nx
 import pytest
@@ -37,6 +37,7 @@ from oracles import (
     dense_topological_order,
     dense_verify_reason,
     inline_canonical_key,
+    literal_all_labeled_graphs,
     packer_write_graph6,
 )
 
@@ -454,9 +455,29 @@ class TestGenerators:
 
 
 class TestAllLabeledGraphs:
-    @pytest.mark.parametrize("n,count", [(0, 1), (2, 2), (3, 8), (5, 1024)])
+    @pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 2), (3, 8), (5, 1024), (6, 32768)])
     def test_counts(self, n, count):
         assert sum(1 for _ in all_labeled_graphs(n)) == count
+
+    # n = 7 on its first 200 graphs only: all 2^21 would take too long
+    CASES = [(n, None) for n in range(7)] + [(7, 200)]
+
+    @pytest.mark.parametrize("n,first", CASES)
+    def test_matches_the_per_pair_enumeration(self, n, first):
+        got = islice(all_labeled_graphs(n, force=True), first)
+        expected = islice(literal_all_labeled_graphs(n), first)
+        assert [(g.n, g.rows) for g in got] == [(g.n, g.rows) for g in expected]
+
+    @pytest.mark.parametrize("n,first", CASES)
+    def test_lines_from_the_codes_are_the_written_lines(self, n, first):
+        lines = [graphs._graph6_text(n, code) for code in islice(graphs._labeled_codes(n), first)]
+        expected = list(islice(literal_all_labeled_graphs(n), first))
+        assert lines == [write_graph6(g) for g in expected]
+        assert [graphs._graph6_rows(text) for text in lines] == [list(g.rows) for g in expected]
+
+    def test_lines_at_the_ends(self):
+        assert [graphs._graph6_text(0, code) for code in graphs._labeled_codes(0)] == ["?"]
+        assert [graphs._graph6_text(1, code) for code in graphs._labeled_codes(1)] == ["@"]
 
     def test_order_is_increasing_bit_pattern(self):
         graphs = list(all_labeled_graphs(3))
