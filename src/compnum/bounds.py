@@ -32,12 +32,10 @@ is theta_e - n + 1.  The tests check both identities and both read-offs
 against opsut_edge_bound and opsut_vertex_bound, which count their own covers.
 
 Every cover question goes to the graph's cover oracle, covers._Cliques,
-looked up from the graph, so the scans at every m share its table of proven
-cover bounds with each other and with the realizer's levels.  The m-subsets
-are walked depth first in lexicographic order, each prefix's incident-edge
-mask one OR onto its parent's.  incident(U) contains the mask of every prefix
-of U, and the cover number only grows with the mask, so a prefix the table
-bounds above the cap rules out every subset through it.
+looked up from the graph.  Its ``scan`` walks the m-subsets, so the scans at
+every m share its table of proven cover bounds with each other and with the
+realizer's levels; this module keeps only the arithmetic that turns a fewest
+cover into a term.
 
 Bounds are reported unclamped and can be negative (for complete graphs the
 m-th term is 2 - m).  Callers compare against competition numbers with
@@ -47,7 +45,6 @@ max(0, bound).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
 
 from .covers import _oracle, edge_clique_cover_number
 from .graphs import Graph
@@ -102,85 +99,13 @@ def opsut_vertex_bound(g: Graph) -> int:
     return min(map(_oracle(g).vertex_cover_number, g.rows))
 
 
-def _scan(g: Graph, m: int, floor: int | None = None) -> tuple[BoundTerm, bool]:
-    """The m-th term with its lexicographically first minimizing subset.
-
-    A subset only matters if it beats the running minimum ``best``, that is
-    if cover(U) - m + 1 < best, so once there is a minimum each cover is
-    capped at best + m - 2, one below the fewest cliques found so far, and a
-    subset whose cover provably exceeds the cap is skipped.  Before that the
-    cap starts at the edge count: no mask needs more cliques than it has
-    edges, so that cap refutes nothing and its capped cover is the uncapped
-    one.  Only strictly smaller values replace the minimum, so the value and
-    the subset are those of the literal scan.
-
-    Each incident-edge mask is entered in the oracle's table at its packing
-    bound on its first visit, and a subset whose mask the table bounds above
-    the cap needs no search; one whose cover number the table holds needs
-    none either.  The others ask the oracle's ``least``, which returns only
-    the capped cover number and stops at the table's lower bound: the term,
-    its subset and the truncation depend on sizes alone, never on a cover.
-
-    The subsets are walked depth first in lexicographic order by one loop:
-    ``head`` is the prefix being extended and ``masks[d]`` the incident
-    edges of its first d vertices, each one OR onto the one before.
-    Position d takes vertices up to n - m + d, so every prefix entered has
-    an extension.  incident(U) contains the mask of each prefix of U and the
-    cover number only grows with the mask, while the cap only falls, so a
-    prefix whose mask the table bounds above the cap is not entered: every
-    subset through it is skipped unsearched.  A d-vertex prefix's mask was
-    a subset's mask at m = d, so the scans of smaller m have entered many of
-    them in the table.
-
-    With ``floor`` set, the scan stops as soon as the running minimum drops to
-    it; the second value says whether it stopped early.
-    """
-    best = argmin = None
-    cap = g.edge_count
-    t = _oracle(g)
-    incident, known = t.incident, t.known
-    n, last = g.n, m - 1
-    head: list[int] = []
-    masks = [0]
-    v = 0  # the next vertex to try at position len(head)
-    while True:
-        if len(head) == last:
-            edges = masks[-1]
-            for v in range(v, n):
-                mask = edges | incident[v]
-                entry = known.get(mask)
-                if entry is None:
-                    entry = known[mask] = (t.packing_bound(mask), inf)
-                cover, upper = entry
-                if cover > cap:
-                    continue
-                if cover != upper:
-                    cover = t.least(mask, cap)
-                    if cover is None:
-                        continue
-                best, argmin, cap = cover - m + 1, (*head, v), cover - 1
-                if floor is not None and best <= floor:
-                    return BoundTerm(m, best, argmin), True
-            v = n  # every subset through this prefix is done
-        if v > n - m + len(head):
-            if not head:
-                return BoundTerm(m, best, argmin), False
-            v = head.pop() + 1
-            masks.pop()
-            continue
-        mask = masks[-1] | incident[v]
-        if known.get(mask, (0,))[0] <= cap:
-            head.append(v)
-            masks.append(mask)
-        v += 1
-
-
 def general_bound_term(g: Graph, m: int) -> BoundTerm:
     """Exact m-th term with the lexicographically first minimizing subset."""
     _require_vertices(g)
     if not 1 <= m <= g.n:
         raise ValueError(f"m must be in 1..{g.n}, got {m}")
-    return _scan(g, m)[0]
+    cover, subset, _ = _oracle(g).scan(m)
+    return BoundTerm(m, cover - m + 1, subset)
 
 
 def general_bound(g: Graph, prune: bool = False) -> BoundReport:
@@ -192,11 +117,14 @@ def general_bound(g: Graph, prune: bool = False) -> BoundReport:
     either way, and identical between pruned and unpruned runs.
     """
     _require_vertices(g)
+    t = _oracle(g)
     terms: list[BoundTerm] = []
     truncated: set[int] = set()
     best: int | None = None
     for m in range(1, g.n + 1):
-        term, cut = _scan(g, m, best if prune else None)
+        # a cover of best + m - 1 cliques brings the m-th term down to best
+        cover, subset, cut = t.scan(m, best + m - 1 if prune and best is not None else None)
+        term = BoundTerm(m, cover - m + 1, subset)
         terms.append(term)
         if cut:
             truncated.add(m)

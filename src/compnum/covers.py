@@ -72,9 +72,9 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
 # replaces the recorded cover.  Witness bytes depend on that rule, and on a
 # minimum query that returns a cover (``_min_cover``) never stopping early,
 # not even at the packing bound; its greedy start breaks ties on the lowest
-# index.  A query that returns only a number (``_Cliques.least``) has no
-# greedy start and stops at the first cover as small as a proven lower bound:
-# which minimum cover it ends on changes no size.
+# index.  A query that returns only a number (the subset walk,
+# ``_Cliques.scan``) has no greedy start and stops at the first cover as small
+# as a proven lower bound: which minimum cover it ends on changes no size.
 #
 # The search is one loop, not a recursion: the picks on the path to the node
 # are a list cut back on each backtrack, and the stack holds one frame per
@@ -321,16 +321,17 @@ class _Cliques:
 
     ``known`` maps an edge mask to (lower, upper), proven bounds on the
     fewest cliques covering it; the cover number is exact iff lower == upper.
-    lower is the packing bound, at which bounds._scan enters each mask it
+    lower is the packing bound, at which ``scan`` enters each mask it
     meets, a refuted cap plus one, or the cover number itself; upper is the
     size of a cover found, ``inf`` until one is.  A cover number depends on
     the mask alone, so one table serves the bound report's subsets at every
     m and the realizer's tail and leaf tests at every level, across calls:
     each mask is bounded once and searched at most once per cap, and a
     question the bounds already settle costs no search.  ``fits``, ``cover``
-    and ``least`` are the only searches that write it.  It is the only state
-    that outlives a call, and it decides only whether ``fits`` searches,
-    never what it answers, so an oracle's history changes no output.
+    and ``scan`` are the only code that reads or writes it.  It is the only
+    state that outlives a call, and it decides only whether a query
+    searches, never what it answers, so an oracle's history changes no
+    output.
     """
 
     def __init__(self, g: Graph):
@@ -360,19 +361,6 @@ class _Cliques:
             self.known[edges] = (found[0], found[0])
         return found
 
-    def least(self, edges: int, cap: int) -> int | None:
-        """The fewest cliques covering the edge mask if at most ``cap`` do,
-        else None: the size ``cover(edges, cap)`` reports, by one search with
-        no greedy start that stops at the table's lower bound, where a cover
-        is minimum.  The table keeps its outcome as ``cover`` does."""
-        lower, upper = self.known.get(edges, _UNKNOWN)
-        found = _search(edges, self.edge_family, cap + 1, lower)
-        if found is None:
-            self.known[edges] = (cap + 1, upper)
-            return None
-        self.known[edges] = (len(found), len(found))
-        return len(found)
-
     def fits(self, edges: int, cap: int) -> bool:
         """Whether at most ``cap`` cliques cover the edge mask, as ``cover(edges,
         cap) is not None`` answers.  The table answers when its bounds settle
@@ -391,12 +379,79 @@ class _Cliques:
         self.known[edges] = (lower, len(found))
         return True
 
-    def edges_at(self, vertices: int) -> int:
-        """The mask of the edges with an end in the vertex mask."""
-        edges = 0
-        for v in _bits(vertices):
-            edges |= self.incident[v]
-        return edges
+    def scan(self, m: int, goal: int | None = None) -> tuple[int, tuple[int, ...], bool]:
+        """The fewest cliques covering the edges at some m vertices, the
+        lexicographically first m-subset that needs that few, and whether the
+        walk stopped early: with ``goal`` set, it stops at the first subset
+        that brings the running minimum down to ``goal`` or below.
+
+        A subset only matters if it needs fewer cliques than the running
+        minimum, so once there is one each cover is capped one below it, and
+        a subset whose cover provably exceeds the cap is skipped.  Before
+        that the cap is the edge count: no mask needs more cliques than it
+        has edges, so that cap refutes nothing.  Only strictly smaller covers
+        replace the minimum, so the count and the subset are those of the
+        literal walk over every subset.
+
+        Each incident-edge mask is entered in the table at its packing bound
+        on its first visit.  A subset whose mask the table bounds above the
+        cap needs no search, and neither does one whose cover number the
+        table holds.  The others get one search with no greedy start that
+        stops at the table's lower bound, where a cover is minimum, and the
+        table keeps its outcome: the count, the subset and the stop depend on
+        sizes alone, never on which cover was met.
+
+        The subsets are walked depth first in lexicographic order by one
+        loop: ``head`` is the prefix being extended and ``masks[d]`` the
+        incident edges of its first d vertices, each one OR onto the one
+        before.  Position d takes vertices up to n - m + d, so every prefix
+        entered has an extension.  The incident edges of a subset contain
+        those of each prefix and the cover number only grows with the mask,
+        while the cap only falls, so a prefix whose mask the table bounds
+        above the cap is not entered: every subset through it is skipped
+        unsearched.  A d-vertex prefix's mask was a subset's mask at m = d,
+        so the walks of smaller m have entered many of them in the table.
+        """
+        known, incident, family = self.known, self.incident, self.edge_family
+        fewest = argmin = None
+        cap = len(self.bit)
+        n, last = len(incident), m - 1
+        head: list[int] = []
+        masks = [0]
+        v = 0  # the next vertex to try at position len(head)
+        while True:
+            if len(head) == last:
+                edges = masks[-1]
+                for v in range(v, n):
+                    mask = edges | incident[v]
+                    entry = known.get(mask)
+                    if entry is None:
+                        entry = known[mask] = (self.packing_bound(mask), inf)
+                    lower, upper = entry
+                    if lower > cap:
+                        continue
+                    if lower != upper:
+                        found = _search(mask, family, cap + 1, lower)
+                        if found is None:
+                            known[mask] = (cap + 1, upper)
+                            continue
+                        lower = len(found)
+                        known[mask] = (lower, lower)
+                    fewest, argmin, cap = lower, (*head, v), lower - 1
+                    if goal is not None and fewest <= goal:
+                        return fewest, argmin, True
+                v = n  # every subset through this prefix is done
+            if v > n - m + len(head):
+                if not head:
+                    return fewest, argmin, False
+                v = head.pop() + 1
+                masks.pop()
+                continue
+            mask = masks[-1] | incident[v]
+            if known.get(mask, (0,))[0] <= cap:
+                head.append(v)
+                masks.append(mask)
+            v += 1
 
     def packing_bound(self, edges: int) -> int:
         return _packing_bound(edges, self.edge_family.shadows)
@@ -405,13 +460,11 @@ class _Cliques:
         """Fewest cliques of G[S] covering S, for the vertex mask of S."""
         return _min_cover(vertices, self.vertex_family)[0]
 
-    def within(
-        self, vertices: int, leaving: int | None = None
-    ) -> list[tuple[tuple[int, ...], int]]:
+    def within(self, vertices: int, leaving: int) -> list[tuple[tuple[int, ...], int]]:
         """The maximal cliques of G[S] for the vertex mask of S, as (members,
-        edge mask), sorted by members as maximal_cliques(G[S]) sorts them.
-        ``leaving``, the edges with an end outside S, is computed unless the
-        caller has it.
+        edge mask), sorted by members as maximal_cliques(G[S]) sorts them,
+        with ``leaving``, the edges with an end outside S, cleared from each
+        edge mask.
 
         They are the maximal nonempty traces C & S (see the class), and a
         trace t is maximal iff no vertex of S outside t is adjacent to all of
@@ -419,8 +472,6 @@ class _Cliques:
         trace, and a larger trace holds such a vertex.  So each trace is kept
         by one AND over its members' adjacency masks, with no comparison
         between traces."""
-        if leaving is None:
-            leaving = self.edges_at(((1 << len(self.incident)) - 1) & ~vertices)
         rows = self.rows
         pairs = zip(self.vertex_masks, self.edge_masks)
         traces = {c & vertices: e & ~leaving for c, e in pairs if c & vertices}

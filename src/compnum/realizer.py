@@ -250,8 +250,9 @@ def find_realization(
         depth = len(order)
         if depth == n:
             residual = all_edges & ~covered
-            if t.fits(residual, k) and (found := t.cover(residual, k)) is not None:
-                return _assemble(g, k, order, chosen + [t.cliques[i] for i in found[1]])
+            if t.fits(residual, k):  # so a cover within k exists
+                _, found = t.cover(residual, k)
+                return _assemble(g, k, order, chosen + [t.cliques[i] for i in found])
         else:
             feeders = feeders_of(placed, leaving)
             # (run, members, covered mask) per feeder whose children pass the

@@ -11,7 +11,10 @@ nothing but its public budget, and keeps the realizer's search with both
 tests on node entry as the reference for the one that tests each child in
 its parent; likewise the cover kernel's recursive search stays here as the
 reference for its loop, with a second recursive statement of which nodes
-the loop counts a packing bound at.
+the loop counts a packing bound at.  The unlabeled classes on n vertices
+come from extending every class on n - 1 vertices by one vertex, in every
+way, with the package's class key telling the classes apart; their counts
+are checked against the known ones.
 """
 
 from __future__ import annotations
@@ -28,11 +31,13 @@ from compnum import (
     Graph,
     GraphParseError,
     competition_number,
+    edge_clique_cover_number,
     find_realization,
+    general_bound,
 )
 from compnum.bounds import BoundReport, BoundTerm
 from compnum.covers import _Cliques, _oracle, _packing_bound
-from compnum.graphs import _bits
+from compnum.graphs import _bits, _rows_graph, _rows_key
 from compnum.realizer import RealizationWitness, _assemble
 
 
@@ -148,6 +153,15 @@ def brute_subset_term(g: Graph, subset) -> int:
     return brute_edge_cover_number(sub, target)
 
 
+def edges_at(t: _Cliques, vertices: int) -> int:
+    """The mask of the edges with an end in the vertex mask, in the layout
+    of the cover oracle t."""
+    edges = 0
+    for v in _bits(vertices):
+        edges |= t.incident[v]
+    return edges
+
+
 def brute_vertex_cover_number(g: Graph) -> int:
     if g.n == 0:
         return 0
@@ -242,7 +256,7 @@ def literal_find_realization(
     @lru_cache(maxsize=None)
     def feeders_of(placed: int):
         unplaced = ((1 << n) - 1) & ~placed
-        leaving = t.edges_at(unplaced)
+        leaving = edges_at(t, unplaced)
         if not t.fits(leaving, unplaced.bit_count() - 1 + k):
             return None
         return t.within(placed, leaving) if placed.bit_count() >= 2 else [((), 0)]
@@ -553,6 +567,38 @@ def literal_general_bound(g: Graph, prune: bool = False) -> BoundReport:
         general=best,
         truncated_ms=frozenset(truncated),
     )
+
+
+# -- unlabeled classes by one-vertex extension ------------------------------------
+
+
+@lru_cache(maxsize=None)
+def unlabeled_classes(n: int) -> dict[tuple[int, int] | None, tuple[int, ...]]:
+    """One graph per isomorphism class on n vertices, as adjacency masks under
+    its class key: each class on n - 1 vertices gains vertex n - 1, joined to
+    each subset of the others, and the first masks met per key are kept.  A
+    graph the key refuses would sit under None."""
+    if n == 0:
+        return {_rows_key(()): ()}
+    classes: dict[tuple[int, int] | None, tuple[int, ...]] = {}
+    for rows in unlabeled_classes(n - 1).values():
+        for joined in range(1 << n - 1):
+            grown = tuple(row | (joined >> v & 1) << n - 1 for v, row in enumerate(rows)) + (joined,)
+            classes.setdefault(_rows_key(grown), grown)
+    return classes
+
+
+def class_census(n: int) -> list[tuple]:
+    """(key, theta_e, opsut_e, opsut_v, general, k) for every class on n
+    vertices, sorted.  None of these depends on which graph stands for a
+    class or how it is labeled."""
+    census = []
+    for key, rows in unlabeled_classes(n).items():
+        g = _rows_graph(rows)
+        report = general_bound(g, prune=True)
+        k = competition_number(g)[0]
+        census.append((key, edge_clique_cover_number(g), report.opsut_edge, report.opsut_vertex, report.general, k))
+    return sorted(census)
 
 
 # -- small structural helpers --------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -19,6 +20,7 @@ from compnum import (
     restricted_edge_cover_number,
     star_graph,
 )
+from compnum import covers
 from compnum.covers import _Cliques
 from oracles import (
     brute_subset_term,
@@ -301,17 +303,18 @@ def test_each_mask_is_bounded_once_and_searched_once_per_cap(monkeypatch):
     # so no mask is bounded twice and no capped search is asked again
     packed: list[int] = []
     searched: list[tuple[int, int]] = []
-    least, packing_bound = _Cliques.least, _Cliques.packing_bound
+    search, packing_bound = covers._search, _Cliques.packing_bound
 
-    def counted_least(self, edges, cap):
-        searched.append((edges, cap))
-        return least(self, edges, cap)
+    def counted_search(universe, family, barrier, goal):
+        if sys._getframe(1).f_code is _Cliques.scan.__code__:
+            searched.append((universe, barrier - 1))
+        return search(universe, family, barrier, goal)
 
     def counted_packing_bound(self, edges):
         packed.append(edges)
         return packing_bound(self, edges)
 
-    monkeypatch.setattr(_Cliques, "least", counted_least)
+    monkeypatch.setattr(covers, "_search", counted_search)
     monkeypatch.setattr(_Cliques, "packing_bound", counted_packing_bound)
     subsets = searches = 0
     for g in random_graphs(10, 0.5, 2012 * 16 + 5, 3):

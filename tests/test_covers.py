@@ -36,6 +36,7 @@ from oracles import (
     brute_lex_min_cover,
     brute_min_cover,
     brute_vertex_cover_number,
+    edges_at,
     element_packing_bound,
     has_triangle,
     literal_counted_bounds,
@@ -456,28 +457,47 @@ class TestFits:
         size = t.cover(edges)[0]
         for cap in range(-1, size + 2):
             assert t.fits(edges, cap) == (t.cover(edges, cap) is not None), cap
-            TestFits.assert_least_agrees(t, edges, cap)
 
     @staticmethod
-    def assert_least_agrees(t, edges, cap):
-        # least is the bound scan's size-only capped cover: the size the
-        # same capped _min_cover reports, which reads no table, leaving the
-        # table exact or refuting the cap
-        found = _min_cover(edges, t.edge_family, cap)
-        expected = None if found is None else found[0]
-        assert t.least(edges, cap) == expected, (edges, cap)
-        lower, upper = t.known[edges]
-        assert (lower == upper == expected) if found else lower == cap + 1, (edges, cap)
+    def assert_scan_agrees(t, m):
+        # scan is the bound report's walk over the m-subsets: it must answer
+        # as the literal walk, which covers every subset with _min_cover and
+        # reads no table, both run in full and stopped at each minimum the
+        # walk passes through, or just below the last
+        sizes = []
+        for subset in combinations(range(len(t.incident)), m):
+            edges = edges_at(t, sum(1 << v for v in subset))
+            sizes.append((_min_cover(edges, t.edge_family)[0], subset))
+        walk = []  # (running minimum, the subset that brought it) in walk order
+        for size, subset in sizes:
+            if not walk or size < walk[-1][0]:
+                walk.append((size, subset))
+        assert t.scan(m) == (*walk[-1], False), m
+        for goal in range(walk[-1][0] - 1, walk[0][0] + 1):
+            stop = next((step for step in walk if step[0] <= goal), None)
+            expected = (*walk[-1], False) if stop is None else (*stop, True)
+            assert t.scan(m, goal) == expected, (m, goal)
+
+    @staticmethod
+    def assert_table_is_proven(t):
+        for edges, (lower, upper) in t.known.items():
+            assert lower <= _min_cover(edges, t.edge_family)[0] <= upper, edges
 
     def test_clique_tables_of_small_graphs(self, graphs_up_to_3, graphs_4, graphs_5):
-        # every edge mask the realizer asks for: the edges at some vertex set
+        # every edge mask the realizer asks for: the edges at some vertex set;
+        # the scan is asked both on a cold table and on one that holds them
         for g in graphs_up_to_3 + graphs_4 + graphs_5:
             t = _Cliques(g)
+            for m in range(1, g.n + 1):
+                self.assert_scan_agrees(t, m)
+            self.assert_table_is_proven(t)
             masks = {0}
             for v in range(g.n):
                 masks |= {edges | t.incident[v] for edges in masks}
             for edges in masks:
                 self.assert_fits_agrees(t, edges)
+            for m in range(1, g.n + 1):
+                self.assert_scan_agrees(t, m)
 
     def test_random_instances(self):
         rng = random.Random(2026)
@@ -486,21 +506,24 @@ class TestFits:
             t = _Cliques(g)
             edges = rng.getrandbits(g.edge_count)
             self.assert_fits_agrees(t, edges)
+            self.assert_scan_agrees(t, random.Random(trial).randrange(1, g.n + 1))
+            self.assert_table_is_proven(t)
 
     def test_a_shared_table_answers_as_a_fresh_search(self):
         # One oracle takes a random run of questions, on repeated masks with
         # caps that rise and fall around each cover number, and both the
-        # realizer's existence question and the bound report's capped cover;
+        # realizer's existence question and the bound report's subset walk;
         # every answer must be the kernel's on a second oracle, whose table
-        # no answer reads.
+        # no answer reads, and the walk's that of an oracle built for it.
         rng = random.Random(1982)
         for trial in range(80):
             g = random_graphs(rng.randrange(2, 11), rng.choice([0.3, 0.5, 0.7]), trial, 1)[0]
             shared, fresh = _Cliques(g), _Cliques(g)
             masks = [rng.getrandbits(g.edge_count) for _ in range(3)]
-            masks.append(shared.edges_at(rng.getrandbits(g.n)))
+            masks.append(edges_at(shared, rng.getrandbits(g.n)))
             sizes = {edges: _min_cover(edges, fresh.edge_family)[0] for edges in masks}
             scan_rng = random.Random(trial)
+            walks = {}  # (m, goal) -> the walk on an oracle of its own
             for _ in range(30):
                 edges = rng.choice(masks)
                 cap = sizes[edges] + rng.randrange(-2, 2)
@@ -509,18 +532,20 @@ class TestFits:
                     assert shared.fits(edges, cap) == expected, (trial, edges, cap)
                 else:
                     assert shared.cover(edges, cap) == _min_cover(edges, fresh.edge_family, cap)
-                # and the scan's size-only question, drawn apart so the ones
-                # above stay as they were, on a mask entered as bounds._scan
-                # enters it: at its packing bound
-                edges = scan_rng.choice(masks)
-                cap = sizes[edges] + scan_rng.randrange(-2, 2)
-                shared.known.setdefault(edges, (shared.packing_bound(edges), inf))
-                self.assert_least_agrees(shared, edges, cap)
+                # and the subset walk, drawn apart so the questions above
+                # stay as they were, with goals around its fewest cover
+                m = scan_rng.randrange(1, g.n + 1)
+                if (m, None) not in walks:
+                    walks[m, None] = _Cliques(g).scan(m)
+                goal = scan_rng.choice([None, walks[m, None][0] + scan_rng.randrange(-1, 3)])
+                if (m, goal) not in walks:
+                    walks[m, goal] = _Cliques(g).scan(m, goal)
+                assert shared.scan(m, goal) == walks[m, goal], (trial, m, goal)
 
 
 class TestCoverFloor:
     def test_a_greedy_cover_at_the_tables_bound_is_not_searched(self, monkeypatch):
-        # bounds._scan enters each mask at its packing bound.  A greedy start
+        # The subset walk enters each mask at its packing bound.  A greedy start
         # that reaches the table's lower bound is a minimum cover, so cover
         # returns it with no search, and every answer is the fresh search's.
         rng = random.Random(16)
@@ -532,7 +557,7 @@ class TestCoverFloor:
             g = random_graphs(rng.randrange(4, 11), rng.choice([0.3, 0.5, 0.7]), trial, 1)[0]
             t, fresh = _Cliques(g), _Cliques(g)
             for _ in range(5):
-                edges = t.edges_at(rng.getrandbits(g.n))
+                edges = edges_at(t, rng.getrandbits(g.n))
                 size = _min_cover(edges, fresh.edge_family)[0]
                 cap = rng.choice([None, size - 1, size, size + 1])
                 expected = _min_cover(edges, fresh.edge_family, cap)
@@ -650,12 +675,12 @@ class TestCliqueTable:
                 for c in maximal_cliques(sub):
                     clique = tuple(members[i] for i in sorted(c))
                     expected.append((clique, sum(t.bit[e] for e in combinations(clique, 2))))
-                assert t.within(s) == expected, (g, members)
+                assert t.within(s, edges_at(t, ((1 << g.n) - 1) & ~s)) == expected, (g, members)
 
     def test_within_past_five_vertices(self):
         # The adjacency test on seeded draws with n = 8..14 and random vertex
-        # masks S, with the edges leaving S handed in and left to within,
-        # against an enumeration of G[S] itself.
+        # masks S, with the edges leaving S handed in, against an enumeration
+        # of G[S] itself.
         rng = random.Random(26)
         for n in range(8, 15):
             for p in (0.3, 0.5, 0.7):
@@ -671,14 +696,14 @@ class TestCliqueTable:
                             expected.append((clique, sum(t.bit[e] for e in combinations(clique, 2))))
                         leaving = sum(t.bit[(u, v)] for u, v in g.edges() if not s >> u & s >> v & 1)
                         assert t.within(s, leaving) == expected, (g.edges(), members)
-                        assert t.within(s) == expected, (g.edges(), members)
 
     def test_edges_at_is_the_incident_edge_set(self, graphs_up_to_3, graphs_4, graphs_5):
+        # the tests' own OR of t.incident over a vertex mask
         for g in graphs_up_to_3 + graphs_4 + graphs_5:
             t = _Cliques(g)
             for s in range(1 << g.n):
                 members = [v for v in range(g.n) if s >> v & 1]
-                assert t.edges_at(s) == sum(t.bit[e] for e in g.incident_edges(members)), (g, members)
+                assert edges_at(t, s) == sum(t.bit[e] for e in g.incident_edges(members)), (g, members)
 
     def test_layout(self):
         g = path_graph(3)  # edges (0, 1) and (1, 2)

@@ -39,6 +39,7 @@ from oracles import (
     inline_canonical_key,
     literal_all_labeled_graphs,
     packer_write_graph6,
+    unlabeled_classes,
 )
 
 
@@ -513,6 +514,14 @@ class TestCanonicalKey:
         firsts = [members[0] for members in by_key.values()]
         for i, a in enumerate(firsts):
             assert not any(nx.is_isomorphic(a, b) for b in firsts[i + 1:])
+
+    def test_one_vertex_extension_meets_the_known_class_counts(self):
+        # OEIS A000088.  The extension keeps the first graph met per key, so
+        # a key that merged two classes or split one past n = 6, where the
+        # labeled graphs above run out, would miss a count.
+        counts = [len(unlabeled_classes(n)) for n in range(8)]
+        assert counts == [1, 1, 2, 4, 11, 34, 156, 1044]
+        assert not any(None in unlabeled_classes(n) for n in range(8))
 
     @pytest.mark.parametrize("n,p", [(8, 0.5), (10, 0.3)])
     def test_relabelings_share_the_key(self, n, p):
