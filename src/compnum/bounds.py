@@ -19,17 +19,15 @@ cover the edges incident to U, which is the same number: a clique covering an
 edge at u in U lies inside N[u], hence inside N[U], so it is a clique of that
 subgraph, and every clique of the subgraph is one of the graph (enlarging
 cliques to maximal ones uncovers nothing).  One clique enumeration per graph
-thus serves every subset, and opsut_vertex_bound counts its covers of N(v) on
-the graph's own cliques too (covers._Cliques says why that is the same).
+thus serves every subset.
 
-The m = 1 term of the general bound equals opsut_vertex_bound, and for
-n >= 2 the m = n-1 term equals opsut_edge_bound, so the general bound
-dominates both.  The report reads both off its terms.  The m = 1 scan runs
-first, so it is never truncated, and the cliques through v covering the edges
-at v are, less v, a clique cover of N(v), and conversely (0 for isolated v).
-The only n-subset is V, scanned in full even when pruned, so the m = n term
-is theta_e - n + 1.  The tests check both identities and both read-offs
-against opsut_edge_bound and opsut_vertex_bound, which count their own covers.
+The m = 1 term of the general bound is opsut_vertex_bound, and for n >= 2
+the m = n-1 term equals opsut_edge_bound, so the general bound dominates
+both.  The report reads both off its terms: the m = 1 scan runs first, so it
+is never truncated, and the only n-subset is V, scanned in full even when
+pruned, so the m = n term is theta_e - n + 1.  The tests check the m = 1 term
+against vertex covers of every N(v), and the m = n-1 term against
+opsut_edge_bound, which counts its own edge cover.
 
 Every cover question goes to the graph's cover oracle, covers._Cliques,
 looked up from the graph.  Its ``scan`` walks the m-subsets, so the scans at
@@ -94,9 +92,12 @@ def opsut_edge_bound(g: Graph) -> int:
 
 
 def opsut_vertex_bound(g: Graph) -> int:
-    """Neighborhood-cover lower bound, 0 as soon as some vertex is isolated."""
+    """Neighborhood-cover lower bound, 0 as soon as some vertex is isolated:
+    the m = 1 term.  The cliques through v covering the edges at v are, less
+    v, a clique cover of N(v), and a clique cover of N(v), each clique joined
+    by v, covers the edges at v."""
     _require_vertices(g)
-    return min(map(_oracle(g).vertex_cover_number, g.rows))
+    return _oracle(g).scan(1)[0]
 
 
 def general_bound_term(g: Graph, m: int) -> BoundTerm:

@@ -309,15 +309,15 @@ class _Cliques:
 
     Vertex v is bit v, as in ``g.rows``, and edge i of ``g.edges()`` is
     bit i; no other code knows the edge bits.  ``cliques[j]`` has the masks
-    ``vertex_masks[j]`` and ``edge_masks[j]``, ``vertex_family`` and
-    ``edge_family`` lay them out for the kernel, ``bit`` maps an edge to its
-    bit, ``incident[v]`` masks the edges at v, and ``rows`` are the graph's
-    adjacency masks.
+    ``vertex_masks[j]`` and ``edge_masks[j]``, ``edge_family`` lays the edge
+    masks out for the kernel, ``bit`` maps an edge to its bit,
+    ``incident[v]`` masks the edges at v, and ``rows`` are the graph's
+    adjacency masks.  Every cover it searches for is a cover of edges.
 
     Induced subgraphs G[S] need no second enumeration.  Every trace C & S is
     a clique of G[S], and every clique of G[S] lies in some maximal C, hence
     in C & S.  So the maximal cliques of G[S] are the maximal nonempty
-    traces, and S needs as many traces as cliques of G[S] to cover it.
+    traces.
 
     ``known`` maps an edge mask to (lower, upper), proven bounds on the
     fewest cliques covering it; the cover number is exact iff lower == upper.
@@ -341,7 +341,6 @@ class _Cliques:
         self.bit = {e: 1 << i for i, e in enumerate(edges)}
         self.vertex_masks = [sum(1 << v for v in c) for c in self.cliques]
         self.edge_masks = [sum(self.bit[e] for e in combinations(sorted(c), 2)) for c in self.cliques]
-        self.vertex_family = _family(self.vertex_masks, g.n)
         self.edge_family = _family(self.edge_masks, len(edges))
         self.incident = [0] * g.n
         for i, (u, v) in enumerate(edges):
@@ -456,10 +455,6 @@ class _Cliques:
     def packing_bound(self, edges: int) -> int:
         return _packing_bound(edges, self.edge_family.shadows)
 
-    def vertex_cover_number(self, vertices: int) -> int:
-        """Fewest cliques of G[S] covering S, for the vertex mask of S."""
-        return _min_cover(vertices, self.vertex_family)[0]
-
     def within(self, vertices: int, leaving: int) -> list[tuple[tuple[int, ...], int]]:
         """The maximal cliques of G[S] for the vertex mask of S, as (members,
         edge mask), sorted by members as maximal_cliques(G[S]) sorts them,
@@ -506,7 +501,7 @@ def edge_clique_cover(g: Graph) -> tuple[int, tuple[int, ...]]:
 
 def vertex_clique_cover_number(g: Graph) -> int:
     """Minimum number of cliques containing every vertex; 0 for n = 0."""
-    return _oracle(g).vertex_cover_number((1 << g.n) - 1)
+    return _min_cover((1 << g.n) - 1, _family(_oracle(g).vertex_masks, g.n))[0]
 
 
 def restricted_edge_cover_number(g: Graph, edge_subset: Iterable[tuple[int, int]]) -> int:

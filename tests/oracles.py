@@ -11,7 +11,9 @@ nothing but its public budget, and keeps the realizer's search with both
 tests on node entry as the reference for the one that tests each child in
 its parent; likewise the cover kernel's recursive search stays here as the
 reference for its loop, with a second recursive statement of which nodes
-the loop counts a packing bound at.  The unlabeled classes on n vertices
+the loop counts a packing bound at; and Opsut's vertex bound is counted
+here by its definition, one vertex cover of every N(v), as the reference
+for the m = 1 term the package reads it off.  The unlabeled classes on n vertices
 come from extending every class on n - 1 vertices by one vertex, in every
 way, with the package's class key telling the classes apart; their counts
 are checked against the known ones.
@@ -36,7 +38,7 @@ from compnum import (
     general_bound,
 )
 from compnum.bounds import BoundReport, BoundTerm
-from compnum.covers import _Cliques, _oracle, _packing_bound
+from compnum.covers import _Cliques, _family, _min_cover, _oracle, _packing_bound
 from compnum.graphs import _bits, _rows_graph, _rows_key
 from compnum.realizer import RealizationWitness, _assemble
 
@@ -166,6 +168,16 @@ def brute_vertex_cover_number(g: Graph) -> int:
     if g.n == 0:
         return 0
     return brute_min_cover(range(g.n), all_cliques(g))
+
+
+def neighborhood_cover_bound(g: Graph) -> int:
+    """Opsut's vertex bound by its definition: min over v of the fewest
+    cliques of G[N(v)] covering N(v), each one vertex-cover search of N(v)
+    over the maximal cliques of g, whose traces on N(v) hold every clique of
+    G[N(v)]."""
+    t = _Cliques(g)
+    family = _family(t.vertex_masks, g.n)
+    return min(_min_cover(g.rows[v], family)[0] for v in range(g.n))
 
 
 # -- naive competition numbers ------------------------------------------------

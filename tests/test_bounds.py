@@ -28,6 +28,7 @@ from oracles import (
     has_triangle,
     is_connected,
     literal_general_bound,
+    neighborhood_cover_bound,
 )
 
 
@@ -74,6 +75,16 @@ class TestOpsutVertexBound:
                 brute_vertex_cover_number(g.induced_subgraph(g.neighbors(v))[0]) for v in range(g.n)
             )
             assert opsut_vertex_bound(g) == expected, g
+
+    def test_matches_the_neighborhood_covers_past_the_corpora(self):
+        # G(n, 0.5) draws with n = 20-28; the pruned report takes seconds to
+        # minutes on most of them, so it is read on the n = 20, seed 1 draw
+        for n in range(20, 29):
+            for seed in (1, 2, 3):
+                g = random_graphs(n, 0.5, seed, 1)[0]
+                assert opsut_vertex_bound(g) == neighborhood_cover_bound(g), (n, seed)
+        g = random_graphs(20, 0.5, 1, 1)[0]
+        assert opsut_vertex_bound(g) == general_bound(g, prune=True).opsut_vertex == 2
 
 
 class TestGeneralBoundTerm:
@@ -147,7 +158,7 @@ class TestGeneralBound:
         for g in graphs_up_to_3 + graphs_4:
             if g.n == 0:
                 continue
-            assert general_bound_term(g, 1).value == opsut_vertex_bound(g)
+            assert general_bound_term(g, 1).value == neighborhood_cover_bound(g)
 
     def test_second_to_last_term_is_edge_bound(self, graphs_up_to_3, graphs_4):
         for g in graphs_up_to_3 + graphs_4:
@@ -168,13 +179,13 @@ class TestGeneralBound:
                 assert general_bound(g, prune=prune).opsut_edge == expected, (g.edges(), prune)
 
     def test_report_vertex_bound_matches_the_independent_one(self, graphs_up_to_3, graphs_4, graphs_5):
-        # the report reads its vertex bound off the m = 1 term,
-        # opsut_vertex_bound counts vertex covers of every N(v) on its own
+        # the report reads its vertex bound off the m = 1 term, the
+        # reference counts vertex covers of every N(v) on its own
         draws = [g for n in range(6, 11) for p in (0.3, 0.6) for g in random_graphs(n, p, 2012 + n, 5)]
         for g in graphs_up_to_3 + graphs_4 + graphs_5 + draws:
             if g.n == 0:
                 continue
-            expected = opsut_vertex_bound(g)
+            expected = neighborhood_cover_bound(g)
             for prune in (False, True):
                 assert general_bound(g, prune=prune).opsut_vertex == expected, (g.edges(), prune)
 

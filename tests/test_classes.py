@@ -7,9 +7,9 @@ from functools import lru_cache
 
 import pytest
 
-from compnum import competition_number, cover_from_witness, general_bound, verify_realization
+from compnum import competition_number, cover_from_witness, general_bound, opsut_vertex_bound, verify_realization
 from compnum.graphs import _rows_graph
-from oracles import unlabeled_classes
+from oracles import neighborhood_cover_bound, unlabeled_classes
 
 
 @lru_cache(maxsize=None)
@@ -26,6 +26,8 @@ def solved(n: int) -> list:
 def test_the_pruned_bound_is_the_unpruned_one(n):
     for g, report, _, _ in solved(n):
         assert general_bound(g, prune=True).general == report.general, g.edges()
+        # opsut_vertex_bound is the m = 1 term; the reference covers every N(v)
+        assert opsut_vertex_bound(g) == neighborhood_cover_bound(g) == report.opsut_vertex, g.edges()
 
 
 @pytest.mark.parametrize("n", [6, 7])

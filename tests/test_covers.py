@@ -214,7 +214,7 @@ class TestPackingBound:
             for v in range(g.n):
                 edge_masks |= {edges | t.incident[v] for edges in edge_masks}
             self.assert_matches(t.edge_family, edge_masks)
-            self.assert_matches(t.vertex_family, range(1 << g.n))
+            self.assert_matches(_family(t.vertex_masks, g.n), range(1 << g.n))
 
     def test_random_instances(self):
         rng = random.Random(8)
