@@ -70,11 +70,13 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
 # meets no cover at all.  Below the root, a cover is recorded as soon as the
 # residual is empty, before any barrier check, so an equal-size later sibling
 # replaces the recorded cover.  Witness bytes depend on that rule, and on a
-# minimum query that returns a cover (``_min_cover``) never stopping early,
-# not even at the packing bound; its greedy start breaks ties on the lowest
-# index.  A query that returns only a number (the subset walk,
-# ``_Cliques.scan``) has no greedy start and stops at the first cover as small
-# as a proven lower bound: which minimum cover it ends on changes no size.
+# minimum query that returns a cover (``_min_cover``) never stopping its
+# search early, not even at the packing bound; its greedy start breaks ties on
+# the lowest index.  Its one shortcut is a floor, a lower bound the caller has
+# proven: a greedy cover that reaches it skips a search that would record
+# nothing.  A query that returns only a number (``_Cliques.fits`` and the
+# subset walk, ``_Cliques.scan``) has no greedy start and stops at the first
+# cover as small as its goal: which cover it ends on changes no answer.
 #
 # The search is one loop, not a recursion: the picks on the path to the node
 # are a list cut back on each backtrack, and the stack holds one frame per
@@ -211,9 +213,10 @@ def _min_cover(
     indices), or None once every cover provably needs more than ``cap`` sets.
     Every bit of ``universe`` must have a holder.  The cap enters only as the
     first barrier, ``cap + 1``: the greedy start stops there, and the search
-    meets no cover that needs more.  ``floor`` is a proven lower bound on the
-    cover: a greedy cover that reaches it is minimum, and the search, which
-    would meet no smaller cover, is skipped."""
+    meets no cover that needs more.  ``floor`` is a lower bound on the cover
+    that the caller has proven, such as the packing bound the realizer's leaf
+    already counted: a greedy cover that reaches it is minimum, and the
+    search, which would meet no smaller cover, is skipped."""
     cands = family.cands
     # greedy never picks a candidate twice, so uncapped it stays below this
     barrier = len(cands) + 1 if cap is None else cap + 1
@@ -321,17 +324,19 @@ class _Cliques:
 
     ``known`` maps an edge mask to (lower, upper), proven bounds on the
     fewest cliques covering it; the cover number is exact iff lower == upper.
-    lower is the packing bound, at which ``scan`` enters each mask it
-    meets, a refuted cap plus one, or the cover number itself; upper is the
-    size of a cover found, ``inf`` until one is.  A cover number depends on
-    the mask alone, so one table serves the bound report's subsets at every
-    m and the realizer's tail and leaf tests at every level, across calls:
+    lower is the packing bound, at which ``scan`` enters each mask it meets,
+    a refuted cap plus one, or the cover number a scan counted; upper is the
+    size of a cover found, ``inf`` until one is.  The table serves the
+    questions that repeat, and it has two users, the only code that reads or
+    writes it: ``fits``, the realizer's tail and leaf tests at every level,
+    and ``scan``, the bound report's subsets at every m.  A cover number
+    depends on the mask alone, so one table serves them all, across calls:
     each mask is bounded once and searched at most once per cap, and a
-    question the bounds already settle costs no search.  ``fits``, ``cover``
-    and ``scan`` are the only code that reads or writes it.  It is the only
-    state that outlives a call, and it decides only whether a query
-    searches, never what it answers, so an oracle's history changes no
-    output.
+    question the bounds already settle costs no search.  A one-shot question,
+    theta_e or the cover a leaf turns into a witness, asks the kernel directly.
+    The table is the only state that outlives a call, and it decides only
+    whether a query searches, never what it answers, so an oracle's history
+    changes no output.
     """
 
     def __init__(self, g: Graph):
@@ -348,24 +353,13 @@ class _Cliques:
             self.incident[v] |= 1 << i
         self.known: dict[int, tuple[int, float]] = {}
 
-    def cover(self, edges: int, cap: int | None = None) -> tuple[int, tuple[int, ...]] | None:
-        """Fewest cliques covering the edge mask, as _min_cover reports it, by
-        one search whose outcome the table keeps; the table's lower bound is
-        the search's floor."""
-        lower, upper = self.known.get(edges, _UNKNOWN)
-        found = _min_cover(edges, self.edge_family, cap, lower)
-        if found is None:
-            self.known[edges] = (cap + 1, upper)
-        else:
-            self.known[edges] = (found[0], found[0])
-        return found
-
     def fits(self, edges: int, cap: int) -> bool:
-        """Whether at most ``cap`` cliques cover the edge mask, as ``cover(edges,
-        cap) is not None`` answers.  The table answers when its bounds settle
-        it; otherwise one search with no greedy start, stopping at the first
-        cover within the cap (the barrier ``cap + 1`` alone enforces it),
-        answers, and the table keeps its outcome."""
+        """Whether at most ``cap`` cliques cover the edge mask, as
+        ``_min_cover(edges, edge_family, cap) is not None`` answers.  The
+        table answers when its bounds settle it; otherwise one search with no
+        greedy start, stopping at the first cover within the cap (the barrier
+        ``cap + 1`` alone enforces it), answers, and the table keeps its
+        outcome."""
         lower, upper = self.known.get(edges, _UNKNOWN)
         if upper <= cap:
             return True
@@ -490,7 +484,7 @@ _oracle = functools.lru_cache(maxsize=1)(_Cliques)
 
 def edge_clique_cover_number(g: Graph) -> int:
     """Minimum number of cliques covering every edge; 0 if there are none."""
-    return _oracle(g).cover((1 << g.edge_count) - 1)[0]
+    return _min_cover((1 << g.edge_count) - 1, _oracle(g).edge_family)[0]
 
 
 def edge_clique_cover(g: Graph) -> tuple[int, tuple[int, ...]]:
@@ -514,4 +508,4 @@ def restricted_edge_cover_number(g: Graph, edge_subset: Iterable[tuple[int, int]
     stray = edges - t.bit.keys()
     if stray:
         raise ValueError(f"{min(stray)} is not an edge of the host graph")
-    return t.cover(sum(t.bit[e] for e in edges))[0]
+    return _min_cover(sum(t.bit[e] for e in edges), t.edge_family)[0]

@@ -524,7 +524,7 @@ def parse_arc_list(text: str) -> Digraph:
             continue
         parts = line.split()
         if n is None:
-            if len(parts) != 2 or parts[0] != "digraph" or not parts[1].isdigit():
+            if len(parts) != 2 or parts[0] != "digraph" or not parts[1].isdecimal():
                 raise GraphParseError(f"line {lineno}: expected 'digraph <n>' header")
             n = int(parts[1])
             continue

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .bounds import general_bound
-from .covers import _oracle
+from .covers import _min_cover, _oracle
 from .graphs import CycleError, Digraph, Graph, _arc_order, _bits, _predators, write_arc_list, write_dot
 
 
@@ -189,17 +189,20 @@ def verify_realization(g: Graph, k: int, d: Digraph) -> Verification:
 # edges with an end inside the placed mask, and placing v closes exactly the
 # edges at v that are touched, so the child gets leaving & ~(incident[v] &
 # touched) and touched | incident[v].  A leaf asks ``fits`` first, which stops
-# at the first cover within k, and asks for the cover itself only when one
-# exists.
+# at the first cover within k.  Only when one exists does it ask the kernel
+# for the cover itself, once per call, with the floor its parent counted: the
+# residual's packing bound in ``bound_of``.  A greedy cover that reaches it is
+# minimum, and the search is skipped.
 #
 # One memo lives for the whole graph, on its cover oracle (covers._Cliques),
-# because it does not depend on k: the table of proven cover bounds, which
-# answers a tail or leaf ``fits`` that an earlier level, an earlier call or
-# the bound phase already settled.  Each level looks the oracle up from the
-# graph, so the bound phase and every level of a solve share it.  Sharing it
-# across calls is safe: the table holds only proven bounds, and it decides
-# whether ``fits`` searches, never what it answers, so no witness, answer or
-# node count depends on what was asked before.
+# because it does not depend on k: the table of proven cover bounds.  Only a
+# tail or leaf ``fits`` asks it here, and it answers one that an earlier
+# level, an earlier call or the bound phase already settled.  Each level
+# looks the oracle up from the graph, so the bound phase and every level of a
+# solve share it.  Sharing it across calls is safe: the table holds only
+# proven bounds, and it decides whether ``fits`` searches, never what it
+# answers, so no witness, answer or node count depends on what was asked
+# before.
 #
 # The budget counts every node the exploration meets, refused and dead ones
 # included, in the order a search that tests each node on entry meets them.
@@ -251,7 +254,7 @@ def find_realization(
         if depth == n:
             residual = all_edges & ~covered
             if t.fits(residual, k):  # so a cover within k exists
-                _, found = t.cover(residual, k)
+                _, found = _min_cover(residual, t.edge_family, k, bound_of[covered])
                 return _assemble(g, k, order, chosen + [t.cliques[i] for i in found])
         else:
             feeders = feeders_of(placed, leaving)

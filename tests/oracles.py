@@ -291,7 +291,7 @@ def literal_find_realization(
             bound = bound_of[covered] = t.packing_bound(residual)
         if open_slots[len(order)] + k >= bound:
             if len(order) == n:
-                if t.fits(residual, k) and (found := t.cover(residual, k)) is not None:
+                if t.fits(residual, k) and (found := _min_cover(residual, t.edge_family, k)) is not None:
                     return _assemble(g, k, order, chosen + [t.cliques[i] for i in found[1]])
             elif (feeders := feeders_of(placed)) is not None:
                 for v in range(n):
@@ -553,7 +553,7 @@ def literal_general_bound(g: Graph, prune: bool = False) -> BoundReport:
             edges = 0
             for u in subset:
                 edges |= t.incident[u]
-            found = t.cover(edges, None if best is None else best + m - 2)
+            found = _min_cover(edges, t.edge_family, None if best is None else best + m - 2)
             if found is not None:
                 best, argmin = found[0] - m + 1, subset
                 if floor is not None and best <= floor:

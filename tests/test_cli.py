@@ -237,6 +237,14 @@ class TestCompetition:
         code, _, err = run_cli(capsys, "competition", str(path))
         assert code == 1 and "line 2" in err
 
+    def test_a_bad_header_count_names_its_line(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("digraph ²\n"))
+        code, out, err = run_cli(capsys, "competition", "-")
+        assert code == 1 and out == ""
+        assert err == "error: line 1: expected 'digraph <n>' header\n"
+
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "competition", str(tmp_path / "nope.txt"))
         assert code == 1

@@ -2,7 +2,6 @@ import hashlib
 import random
 import sys
 from itertools import combinations
-from math import inf
 
 import pytest
 
@@ -177,7 +176,7 @@ class TestCoverCap:
             for v in range(g.n):
                 masks |= {edges | t.incident[v] for edges in masks}
             for edges in masks:
-                self.assert_caps_agree(lambda cap: t.cover(edges, cap))
+                self.assert_caps_agree(lambda cap: _min_cover(edges, t.edge_family, cap))
 
     def test_random_instances(self):
         rng = random.Random(2026)
@@ -454,9 +453,9 @@ class TestFits:
     # relies on it answering exactly as a capped search would.
     @staticmethod
     def assert_fits_agrees(t, edges):
-        size = t.cover(edges)[0]
+        size = _min_cover(edges, t.edge_family)[0]
         for cap in range(-1, size + 2):
-            assert t.fits(edges, cap) == (t.cover(edges, cap) is not None), cap
+            assert t.fits(edges, cap) == (_min_cover(edges, t.edge_family, cap) is not None), cap
 
     @staticmethod
     def assert_scan_agrees(t, m):
@@ -511,10 +510,11 @@ class TestFits:
 
     def test_a_shared_table_answers_as_a_fresh_search(self):
         # One oracle takes a random run of questions, on repeated masks with
-        # caps that rise and fall around each cover number, and both the
-        # realizer's existence question and the bound report's subset walk;
-        # every answer must be the kernel's on a second oracle, whose table
-        # no answer reads, and the walk's that of an oracle built for it.
+        # caps that rise and fall around each cover number: the realizer's
+        # existence question, its leaf's cover question and the bound
+        # report's subset walk; every answer must be the kernel's on a second
+        # oracle, whose table no answer reads, and the walk's that of an
+        # oracle built for it.
         rng = random.Random(1982)
         for trial in range(80):
             g = random_graphs(rng.randrange(2, 11), rng.choice([0.3, 0.5, 0.7]), trial, 1)[0]
@@ -531,7 +531,10 @@ class TestFits:
                     expected = _search(edges, fresh.edge_family, cap + 1, cap) is not None
                     assert shared.fits(edges, cap) == expected, (trial, edges, cap)
                 else:
-                    assert shared.cover(edges, cap) == _min_cover(edges, fresh.edge_family, cap)
+                    # the leaf's question: the kernel, floored at the packing bound
+                    floor = shared.packing_bound(edges)
+                    found = _min_cover(edges, shared.edge_family, cap, floor)
+                    assert found == _min_cover(edges, fresh.edge_family, cap), (trial, edges, cap)
                 # and the subset walk, drawn apart so the questions above
                 # stay as they were, with goals around its fewest cover
                 m = scan_rng.randrange(1, g.n + 1)
@@ -544,10 +547,11 @@ class TestFits:
 
 
 class TestCoverFloor:
-    def test_a_greedy_cover_at_the_tables_bound_is_not_searched(self, monkeypatch):
-        # The subset walk enters each mask at its packing bound.  A greedy start
-        # that reaches the table's lower bound is a minimum cover, so cover
-        # returns it with no search, and every answer is the fresh search's.
+    def test_a_greedy_cover_at_the_floor_is_not_searched(self, monkeypatch):
+        # The realizer's leaf passes its residual's packing bound as the floor.
+        # A greedy start that reaches the floor is a minimum cover, so
+        # _min_cover returns it with no search, and every answer is the
+        # unfloored search's.
         rng = random.Random(16)
         calls = []
         search = covers._search
@@ -555,15 +559,15 @@ class TestCoverFloor:
         skipped = searched = 0
         for trial in range(60):
             g = random_graphs(rng.randrange(4, 11), rng.choice([0.3, 0.5, 0.7]), trial, 1)[0]
-            t, fresh = _Cliques(g), _Cliques(g)
+            t = _Cliques(g)
             for _ in range(5):
                 edges = edges_at(t, rng.getrandbits(g.n))
-                size = _min_cover(edges, fresh.edge_family)[0]
+                size = _min_cover(edges, t.edge_family)[0]
                 cap = rng.choice([None, size - 1, size, size + 1])
-                expected = _min_cover(edges, fresh.edge_family, cap)
-                t.known[edges] = (t.packing_bound(edges), inf)
+                expected = _min_cover(edges, t.edge_family, cap)
                 calls.clear()
-                assert t.cover(edges, cap) == expected, (trial, edges, cap)
+                found = _min_cover(edges, t.edge_family, cap, t.packing_bound(edges))
+                assert found == expected, (trial, edges, cap)
                 if calls:
                     searched += 1
                 else:

@@ -273,6 +273,7 @@ class TestArcList:
         [
             ("graph 2\n0 1", "line 1"),
             ("digraph x\n", "line 1"),
+            ("digraph ²\n", "^line 1: expected 'digraph <n>' header$"),  # a digit int() rejects
             ("digraph 2\n0 0", "line 2: loop"),
             ("digraph 2\n0 1\n0 1", "line 3: duplicate"),
             ("digraph 2\n0 5", "line 2: vertex out of range"),

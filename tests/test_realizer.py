@@ -30,7 +30,8 @@ from compnum import (
     random_graphs,
     verify_realization,
 )
-from compnum.covers import _Cliques, _certified_cover, _min_cover, _oracle, _search
+from compnum import realizer
+from compnum.covers import _Cliques, _certified_cover, _min_cover, _oracle, _packing_bound, _search
 from oracles import has_triangle, is_connected, least_budget, level_node_counts, literal_find_realization
 
 
@@ -330,21 +331,25 @@ class TestFindRealization:
         self, graphs_up_to_3, graphs_4, graphs_5, monkeypatch
     ):
         # Within one level's search, no residual edge mask is packing-bounded
-        # twice, and a leaf asks for the cover itself only when it holds the
-        # witness the search returns.
+        # twice, and a leaf asks the kernel for the cover itself only when it
+        # holds the witness the search returns, with the residual's packing
+        # bound as the floor.
         cases = [
             (g, k) for g in graphs_up_to_3 + graphs_4 + graphs_5 if g.n
             for k in range(competition_number(g)[0] + 1)
         ]
         cases.append((parse_graph6("KEcF`]jd_OJ@"), 1))
         bounded, covered = [], []
-        packing_bound, cover = _Cliques.packing_bound, _Cliques.cover
+        packing_bound = _Cliques.packing_bound
         monkeypatch.setattr(
             _Cliques, "packing_bound", lambda self, edges: bounded.append(edges) or packing_bound(self, edges)
         )
-        monkeypatch.setattr(
-            _Cliques, "cover", lambda self, edges, cap=None: covered.append(edges) or cover(self, edges, cap)
-        )
+
+        def cover(edges, family, cap, floor):
+            covered.append(floor == _packing_bound(edges, family.shadows))
+            return _min_cover(edges, family, cap, floor)
+
+        monkeypatch.setattr(realizer, "_min_cover", cover)
         for g, k in cases:
             bounded.clear()
             covered.clear()
@@ -352,6 +357,7 @@ class TestFindRealization:
             assert bounded, (g.edges(), k)
             assert len(bounded) == len(set(bounded)), (g.edges(), k)
             assert len(covered) == (w is not None), (g.edges(), k)
+            assert all(covered), (g.edges(), k)
 
     def test_the_carried_masks_ask_the_same_cover_questions(self, monkeypatch):
         # A child's leaving mask is its parent's minus the edges the placed
@@ -654,7 +660,7 @@ def test_no_answer_leaves_garbage_for_the_collector():
         assert gc.collect() == 0
         for g in gs:
             t, edges = _oracle(g), (1 << g.edge_count) - 1
-            size = t.cover(edges)[0]
+            size = _min_cover(edges, t.edge_family)[0]
             for cap in range(size - 2, size + 2):
                 _search(edges, t.edge_family, cap + 1, cap)
                 _min_cover(edges, t.edge_family, cap)
