@@ -310,12 +310,13 @@ class _Cliques:
     """The maximal cliques of one graph, laid out for the kernel: the graph's
     cover oracle, which every entry point looks up with ``_oracle(g)``.
 
-    Vertex v is bit v, as in ``g.rows``, and edge i of ``g.edges()`` is
-    bit i; no other code knows the edge bits.  ``cliques[j]`` has the masks
-    ``vertex_masks[j]`` and ``edge_masks[j]``, ``edge_family`` lays the edge
-    masks out for the kernel, ``bit`` maps an edge to its bit,
-    ``incident[v]`` masks the edges at v, and ``rows`` are the graph's
-    adjacency masks.  Every cover it searches for is a cover of edges.
+    It keeps three layouts.  Vertex v is bit v, as in ``rows``, the graph's
+    adjacency masks.  Edge i of ``g.edges()`` is bit i: ``incident[v]``
+    masks the edges at v, so the bit of edge uv is ``incident[u] &
+    incident[v]``, and no other code knows the edge bits.  Clique j is the
+    j-th of ``maximal_cliques(g)``: ``vertex_masks[j]`` masks its members and
+    ``edge_family.cands[j]``, the kernel's candidate j, its edges.  Every
+    cover it searches for is a cover of edges.
 
     Induced subgraphs G[S] need no second enumeration.  Every trace C & S is
     a clique of G[S], and every clique of G[S] lies in some maximal C, hence
@@ -340,17 +341,15 @@ class _Cliques:
     """
 
     def __init__(self, g: Graph):
-        edges = g.edges()
-        self.cliques = maximal_cliques(g)
         self.rows = g.rows
-        self.bit = {e: 1 << i for i, e in enumerate(edges)}
-        self.vertex_masks = [sum(1 << v for v in c) for c in self.cliques]
-        self.edge_masks = [sum(self.bit[e] for e in combinations(sorted(c), 2)) for c in self.cliques]
-        self.edge_family = _family(self.edge_masks, len(edges))
-        self.incident = [0] * g.n
-        for i, (u, v) in enumerate(edges):
-            self.incident[u] |= 1 << i
-            self.incident[v] |= 1 << i
+        self.incident = incident = [0] * g.n
+        for i, (u, v) in enumerate(g.edges()):
+            incident[u] |= 1 << i
+            incident[v] |= 1 << i
+        self.vertex_masks = [sum(1 << v for v in c) for c in maximal_cliques(g)]
+        self.edge_family = _family(
+            [sum(incident[u] & incident[v] for u, v in combinations(_bits(c), 2)) for c in self.vertex_masks], g.edge_count
+        )
         self.known: dict[int, tuple[int, float]] = {}
 
     def fits(self, edges: int, cap: int) -> bool:
@@ -407,7 +406,7 @@ class _Cliques:
         """
         known, incident, family = self.known, self.incident, self.edge_family
         fewest = argmin = None
-        cap = len(self.bit)
+        cap = len(family.holders)
         n, last = len(incident), m - 1
         head: list[int] = []
         masks = [0]
@@ -462,7 +461,7 @@ class _Cliques:
         by one AND over its members' adjacency masks, with no comparison
         between traces."""
         rows = self.rows
-        pairs = zip(self.vertex_masks, self.edge_masks)
+        pairs = zip(self.vertex_masks, self.edge_family.cands)
         traces = {c & vertices: e & ~leaving for c, e in pairs if c & vertices}
         maximal = []
         for t, e in traces.items():
@@ -504,8 +503,8 @@ def restricted_edge_cover_number(g: Graph, edge_subset: Iterable[tuple[int, int]
     Cliques may cover edges outside the subset; only the subset must be hit.
     """
     edges = frozenset(tuple(sorted(e)) for e in edge_subset)
-    t = _oracle(g)
-    stray = edges - t.bit.keys()
+    stray = edges.difference(g.edges())
     if stray:
         raise ValueError(f"{min(stray)} is not an edge of the host graph")
-    return _min_cover(sum(t.bit[e] for e in edges), t.edge_family)[0]
+    t = _oracle(g)
+    return _min_cover(sum(t.incident[u] & t.incident[v] for u, v in edges), t.edge_family)[0]

@@ -255,7 +255,7 @@ def find_realization(
             residual = all_edges & ~covered
             if t.fits(residual, k):  # so a cover within k exists
                 _, found = _min_cover(residual, t.edge_family, k, bound_of[covered])
-                return _assemble(g, k, order, chosen + [t.cliques[i] for i in found])
+                return _assemble(g, k, order, chosen + [_bits(t.vertex_masks[i]) for i in found])
         else:
             feeders = feeders_of(placed, leaving)
             # (run, members, covered mask) per feeder whose children pass the

@@ -36,6 +36,7 @@ from compnum import (
     edge_clique_cover_number,
     find_realization,
     general_bound,
+    maximal_cliques,
 )
 from compnum.bounds import BoundReport, BoundTerm
 from compnum.covers import _Cliques, _family, _min_cover, _oracle, _packing_bound
@@ -292,7 +293,7 @@ def literal_find_realization(
         if open_slots[len(order)] + k >= bound:
             if len(order) == n:
                 if t.fits(residual, k) and (found := _min_cover(residual, t.edge_family, k)) is not None:
-                    return _assemble(g, k, order, chosen + [t.cliques[i] for i in found[1]])
+                    return _assemble(g, k, order, chosen + [maximal_cliques(g)[i] for i in found[1]])
             elif (feeders := feeders_of(placed)) is not None:
                 for v in range(n):
                     if placed >> v & 1 or (len(order) == 1 and v < order[0]):

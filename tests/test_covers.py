@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import sys
 from itertools import combinations
 
@@ -61,7 +62,7 @@ def test_every_constructor_gives_one_graph_and_one_oracle():
             assert h == g and hash(h) == hash(g), text
             assert list(h.rows) == adjacency_masks(g), text
             assert covers._oracle(h) is oracle, text
-        assert oracle.cliques == maximal_cliques(g) == set_maximal_cliques(g), text
+        assert [frozenset(_bits(c)) for c in oracle.vertex_masks] == maximal_cliques(g) == set_maximal_cliques(g), text
 
 
 class TestMaximalCliques:
@@ -646,6 +647,11 @@ class TestRestrictedCover:
     def test_rejects_non_edges(self):
         with pytest.raises(ValueError, match="not an edge"):
             restricted_edge_cover_number(cycle_graph(4), [(0, 2)])
+        # a loop, a label past n and a negative label are refused before
+        # any of them is looked up in the oracle
+        for pair in [(2, 2), (0, 9), (-1, 0)]:
+            with pytest.raises(ValueError, match=re.escape(f"{pair} is not an edge of the host graph")):
+                restricted_edge_cover_number(cycle_graph(4), [(0, 1), pair])
 
     def test_monotone_in_the_subset(self, graphs_4):
         rng = random.Random(31)
@@ -658,12 +664,14 @@ class TestRestrictedCover:
             big = sorted(set(small) | set(extra))
             assert restricted_edge_cover_number(g, small) <= restricted_edge_cover_number(g, big)
 
-    def test_matches_brute_force(self, graphs_4):
+    def test_matches_brute_force(self, graphs_4, graphs_5):
         rng = random.Random(47)
-        for g in graphs_4:
+        for g in graphs_4 + graphs_5:
             edges = g.edges()
             target = [e for e in edges if rng.random() < 0.6]
-            assert restricted_edge_cover_number(g, target) == brute_edge_cover_number(g, target)
+            expected = brute_edge_cover_number(g, target)
+            assert restricted_edge_cover_number(g, target) == expected
+            assert restricted_edge_cover_number(g, [(v, u) for u, v in target]) == expected
 
 
 class TestCliqueTable:
@@ -678,7 +686,7 @@ class TestCliqueTable:
                 expected = []
                 for c in maximal_cliques(sub):
                     clique = tuple(members[i] for i in sorted(c))
-                    expected.append((clique, sum(t.bit[e] for e in combinations(clique, 2))))
+                    expected.append((clique, sum(t.incident[u] & t.incident[v] for u, v in combinations(clique, 2))))
                 assert t.within(s, edges_at(t, ((1 << g.n) - 1) & ~s)) == expected, (g, members)
 
     def test_within_past_five_vertices(self):
@@ -697,8 +705,8 @@ class TestCliqueTable:
                         expected = []
                         for c in maximal_cliques(sub):
                             clique = tuple(members[i] for i in sorted(c))
-                            expected.append((clique, sum(t.bit[e] for e in combinations(clique, 2))))
-                        leaving = sum(t.bit[(u, v)] for u, v in g.edges() if not s >> u & s >> v & 1)
+                            expected.append((clique, sum(t.incident[u] & t.incident[v] for u, v in combinations(clique, 2))))
+                        leaving = sum(t.incident[u] & t.incident[v] for u, v in g.edges() if not s >> u & s >> v & 1)
                         assert t.within(s, leaving) == expected, (g.edges(), members)
 
     def test_edges_at_is_the_incident_edge_set(self, graphs_up_to_3, graphs_4, graphs_5):
@@ -707,13 +715,28 @@ class TestCliqueTable:
             t = _Cliques(g)
             for s in range(1 << g.n):
                 members = [v for v in range(g.n) if s >> v & 1]
-                assert edges_at(t, s) == sum(t.bit[e] for e in g.incident_edges(members)), (g, members)
+                incident_edges = g.incident_edges(members)
+                assert edges_at(t, s) == sum(t.incident[u] & t.incident[v] for u, v in incident_edges), (g, members)
 
-    def test_layout(self):
+    def test_layout(self, graphs_up_to_3, graphs_4, graphs_5):
+        # against brute force in g.edges() order: edge i is bit i, clique j
+        # the j-th of maximal_cliques(g)
+        rng = random.Random(28)
+        draws = [g for n in range(8, 15) for p in (0.3, 0.5) for g in random_graphs(n, p, rng.randrange(10**6), 2)]
+        for g in graphs_up_to_3 + graphs_4 + graphs_5 + draws:
+            t = _Cliques(g)
+            edges = g.edges()
+            cliques = maximal_cliques(g)
+            assert len(t.vertex_masks) == len(t.edge_family.cands) == len(cliques), edges
+            for c, members, cand in zip(cliques, t.vertex_masks, t.edge_family.cands):
+                assert members == sum(1 << v for v in c), (edges, c)
+                assert cand == sum(1 << i for i, (u, v) in enumerate(edges) if u in c and v in c), (edges, c)
+            for u, v in combinations(range(g.n), 2):
+                bit = 1 << edges.index((u, v)) if (u, v) in edges else 0
+                assert t.incident[u] & t.incident[v] == bit, (edges, u, v)
         g = path_graph(3)  # edges (0, 1) and (1, 2)
         t = _Cliques(g)
-        assert t.cliques == maximal_cliques(g)
-        assert t.bit == {(0, 1): 1, (1, 2): 2}
         assert t.vertex_masks == [0b011, 0b110]
-        assert t.edge_masks == [1, 2]
+        assert t.edge_family.cands == [1, 2]
         assert t.incident == [1, 3, 2]
+        assert sorted(vars(t)) == ["edge_family", "incident", "known", "rows", "vertex_masks"]
