@@ -31,28 +31,26 @@ class InfeasibleCoverError(ValueError):
 def maximal_cliques(g: Graph) -> list[frozenset[int]]:
     """All inclusion-maximal cliques, each exactly once.
 
-    Pivoting branch enumeration on the adjacency masks: the clique, its
-    candidates and its excluded vertices are masks, and the pivot is the
-    candidate or excluded vertex with the most candidate neighbours, the
-    lowest label on ties.  The result is sorted by member lists, so the
-    order is deterministic and isolated vertices show up as singletons.
+    Pivoting branch enumeration on the adjacency masks, walked by one loop
+    over a stack of (clique, candidates, excluded) frames, each a mask.  The
+    pivot is the candidate or excluded vertex with the most candidate
+    neighbours, the lowest label on ties.  The result is sorted by member
+    lists, so the walk's order changes nothing, and isolated vertices show
+    up as singletons.
     """
     rows = g.rows
     found: list[int] = []
-
-    def expand(clique: int, cand: int, excl: int) -> None:
+    stack = [(0, (1 << g.n) - 1, 0)] if g.n else []
+    while stack:
+        clique, cand, excl = stack.pop()
         if not cand and not excl:
             found.append(clique)
-            return
+            continue
         pivot = max(_bits(cand | excl), key=lambda u: ((rows[u] & cand).bit_count(), -u))
         for v in _bits(cand & ~rows[pivot]):
-            expand(clique | 1 << v, cand & rows[v], excl & rows[v])
+            stack.append((clique | 1 << v, cand & rows[v], excl & rows[v]))
             cand ^= 1 << v
             excl |= 1 << v
-
-    if g.n:
-        expand(0, (1 << g.n) - 1, 0)
-    del expand  # it reaches itself through its cell: free it without the collector
     return [frozenset(c) for c in sorted(map(tuple, map(_bits, found)))]
 
 
@@ -72,11 +70,9 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
 # replaces the recorded cover.  Witness bytes depend on that rule, and on a
 # minimum query that returns a cover (``_min_cover``) never stopping its
 # search early, not even at the packing bound; its greedy start breaks ties on
-# the lowest index.  Its one shortcut is a floor, a lower bound the caller has
-# proven: a greedy cover that reaches it skips a search that would record
-# nothing.  A query that returns only a number (``_Cliques.fits`` and the
-# subset walk, ``_Cliques.scan``) has no greedy start and stops at the first
-# cover as small as its goal: which cover it ends on changes no answer.
+# the lowest index.  A query that returns only a number (``_Cliques.fits``
+# and the subset walk, ``_Cliques.scan``) has no greedy start and stops at the
+# first cover as small as its goal: which cover it ends on changes no answer.
 #
 # The search is one loop, not a recursion: the picks on the path to the node
 # are a list cut back on each backtrack, and the stack holds one frame per
@@ -206,17 +202,13 @@ def _search(universe: int, family: _Family, barrier: int, goal: int) -> tuple[in
         credit -= 1
 
 
-def _min_cover(
-    universe: int, family: _Family, cap: int | None = None, floor: int = 0
-) -> tuple[int, tuple[int, ...]] | None:
+def _min_cover(universe: int, family: _Family, cap: int | None = None) -> tuple[int, tuple[int, ...]] | None:
     """Minimum cover of the bits of ``universe``: (size, sorted candidate
     indices), or None once every cover provably needs more than ``cap`` sets.
     Every bit of ``universe`` must have a holder.  The cap enters only as the
     first barrier, ``cap + 1``: the greedy start stops there, and the search
-    meets no cover that needs more.  ``floor`` is a lower bound on the cover
-    that the caller has proven, such as the packing bound the realizer's leaf
-    already counted: a greedy cover that reaches it is minimum, and the
-    search, which would meet no smaller cover, is skipped."""
+    meets no cover that needs more.  A greedy cover at the packing bound ends
+    the search at its root, which counts that bound and meets no smaller cover."""
     cands = family.cands
     # greedy never picks a candidate twice, so uncapped it stays below this
     barrier = len(cands) + 1 if cap is None else cap + 1
@@ -231,8 +223,6 @@ def _min_cover(
         uncovered &= ~cands[best]
     if not uncovered and len(greedy) < barrier:
         found, barrier = tuple(sorted(greedy)), len(greedy)
-        if barrier <= floor:
-            return barrier, found
     better = _search(universe, family, barrier, -1)
     found = found if better is None else better
     return None if found is None else (len(found), found)
@@ -502,9 +492,11 @@ def restricted_edge_cover_number(g: Graph, edge_subset: Iterable[tuple[int, int]
 
     Cliques may cover edges outside the subset; only the subset must be hit.
     """
-    edges = frozenset(tuple(sorted(e)) for e in edge_subset)
-    stray = edges.difference(g.edges())
+    edges = [tuple(sorted(e)) for e in edge_subset]
+    host = set(g.edges())
+    # labels are ints, as Graph requires: (0, 1.0) equals (0, 1) but is refused
+    stray = [e for e in edges if e not in host or not all(isinstance(v, int) for v in e)]
     if stray:
         raise ValueError(f"{min(stray)} is not an edge of the host graph")
     t = _oracle(g)
-    return _min_cover(sum(t.incident[u] & t.incident[v] for u, v in edges), t.edge_family)[0]
+    return _min_cover(sum(t.incident[u] & t.incident[v] for u, v in set(edges)), t.edge_family)[0]

@@ -38,13 +38,14 @@ class CycleError(Exception):
     """A digraph that was expected to be acyclic contains a directed cycle.
 
     ``cycle`` holds the offending cycle as a list of distinct vertices
-    [v0, v1, ..., vm] with arcs v0->v1->...->vm->v0.
+    [v0, v1, ..., vm] with arcs v0->v1->...->vm->v0, and ``arrow`` the text
+    "v0 -> v1 -> ... -> vm -> v0".
     """
 
     def __init__(self, cycle: Sequence[int]):
         self.cycle = list(cycle)
-        arrow = " -> ".join(str(v) for v in self.cycle + self.cycle[:1])
-        super().__init__(f"directed cycle: {arrow}")
+        self.arrow = " -> ".join(str(v) for v in self.cycle + self.cycle[:1])
+        super().__init__(f"directed cycle: {self.arrow}")
 
 
 def _check_vertex(n: int, v: int) -> None:

@@ -95,8 +95,7 @@ def verify_realization(g: Graph, k: int, d: Digraph) -> Verification:
     try:
         _arc_order(d)
     except CycleError as err:
-        arrow = " -> ".join(str(v) for v in err.cycle + err.cycle[:1])
-        return Verification(False, f"cycle found: {arrow}")
+        return Verification(False, f"cycle found: {err.arrow}")
     comp = _competition_edges(d)
     target = set(g.edges())
     if missing := target - comp:
@@ -190,9 +189,7 @@ def verify_realization(g: Graph, k: int, d: Digraph) -> Verification:
 # edges at v that are touched, so the child gets leaving & ~(incident[v] &
 # touched) and touched | incident[v].  A leaf asks ``fits`` first, which stops
 # at the first cover within k.  Only when one exists does it ask the kernel
-# for the cover itself, once per call, with the floor its parent counted: the
-# residual's packing bound in ``bound_of``.  A greedy cover that reaches it is
-# minimum, and the search is skipped.
+# for the cover itself, once per call.
 #
 # One memo lives for the whole graph, on its cover oracle (covers._Cliques),
 # because it does not depend on k: the table of proven cover bounds.  Only a
@@ -254,7 +251,7 @@ def find_realization(
         if depth == n:
             residual = all_edges & ~covered
             if t.fits(residual, k):  # so a cover within k exists
-                _, found = _min_cover(residual, t.edge_family, k, bound_of[covered])
+                _, found = _min_cover(residual, t.edge_family, k)
                 return _assemble(g, k, order, chosen + [_bits(t.vertex_masks[i]) for i in found])
         else:
             feeders = feeders_of(placed, leaving)

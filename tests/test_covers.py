@@ -532,9 +532,11 @@ class TestFits:
                     expected = _search(edges, fresh.edge_family, cap + 1, cap) is not None
                     assert shared.fits(edges, cap) == expected, (trial, edges, cap)
                 else:
-                    # the leaf's question: the kernel, floored at the packing bound
-                    floor = shared.packing_bound(edges)
-                    found = _min_cover(edges, shared.edge_family, cap, floor)
+                    # the leaf's two questions, in order: whether a cover
+                    # within the cap exists, then the cover itself
+                    expected = _search(edges, fresh.edge_family, cap + 1, cap) is not None
+                    assert shared.fits(edges, cap) == expected, (trial, edges, cap)
+                    found = _min_cover(edges, shared.edge_family, cap)
                     assert found == _min_cover(edges, fresh.edge_family, cap), (trial, edges, cap)
                 # and the subset walk, drawn apart so the questions above
                 # stay as they were, with goals around its fewest cover
@@ -547,17 +549,27 @@ class TestFits:
                 assert shared.scan(m, goal) == walks[m, goal], (trial, m, goal)
 
 
-class TestCoverFloor:
-    def test_a_greedy_cover_at_the_floor_is_not_searched(self, monkeypatch):
-        # The realizer's leaf passes its residual's packing bound as the floor.
-        # A greedy start that reaches the floor is a minimum cover, so
-        # _min_cover returns it with no search, and every answer is the
-        # unfloored search's.
+class TestGreedyStart:
+    def test_a_greedy_cover_at_the_packing_bound_ends_the_search_at_its_root(self, monkeypatch):
+        # A greedy start that meets the packing bound is a minimum cover.
+        # _min_cover still runs its one search, with the greedy size as the
+        # barrier, and the root cuts it: it counts the packing bound once and
+        # records no cover, so the greedy cover is the answer.  With no edges
+        # the barrier is 0, and the search returns before it counts anything.
+        def greedy_size(edges, cands):
+            # _min_cover's greedy start, uncapped: the first largest gain
+            size = 0
+            while edges:
+                edges &= ~max(cands, key=lambda c: (c & edges).bit_count())
+                size += 1
+            return size
+
         rng = random.Random(16)
-        calls = []
-        search = covers._search
-        monkeypatch.setattr(covers, "_search", lambda *args: calls.append(args) or search(*args))
-        skipped = searched = 0
+        searches, bounds = [], []
+        search, packing_bound = covers._search, covers._packing_bound
+        monkeypatch.setattr(covers, "_search", lambda *args: searches.append(search(*args)) or searches[-1])
+        monkeypatch.setattr(covers, "_packing_bound", lambda *args: bounds.append(args) or packing_bound(*args))
+        at_root = searched = 0
         for trial in range(60):
             g = random_graphs(rng.randrange(4, 11), rng.choice([0.3, 0.5, 0.7]), trial, 1)[0]
             t = _Cliques(g)
@@ -565,16 +577,18 @@ class TestCoverFloor:
                 edges = edges_at(t, rng.getrandbits(g.n))
                 size = _min_cover(edges, t.edge_family)[0]
                 cap = rng.choice([None, size - 1, size, size + 1])
-                expected = _min_cover(edges, t.edge_family, cap)
-                calls.clear()
-                found = _min_cover(edges, t.edge_family, cap, t.packing_bound(edges))
-                assert found == expected, (trial, edges, cap)
-                if calls:
-                    searched += 1
+                bound = t.packing_bound(edges)
+                searches.clear()
+                bounds.clear()
+                found = _min_cover(edges, t.edge_family, cap)
+                assert len(searches) == 1, (trial, edges, cap)
+                if greedy_size(edges, t.edge_family.cands) == bound and (cap is None or bound <= cap):
+                    assert len(bounds) == (edges != 0) and searches == [None], (trial, edges, cap)
+                    assert found[0] == bound, (trial, edges, cap)
+                    at_root += 1
                 else:
-                    assert expected[0] == t.packing_bound(edges), (trial, edges, cap)
-                    skipped += 1
-        assert skipped > 50 and searched > 50
+                    searched += 1
+        assert at_root > 50 and searched > 50
 
 
 class TestCoverNumbers:
@@ -647,9 +661,9 @@ class TestRestrictedCover:
     def test_rejects_non_edges(self):
         with pytest.raises(ValueError, match="not an edge"):
             restricted_edge_cover_number(cycle_graph(4), [(0, 2)])
-        # a loop, a label past n and a negative label are refused before
-        # any of them is looked up in the oracle
-        for pair in [(2, 2), (0, 9), (-1, 0)]:
+        # a loop, a label past n, a negative label and a float label are
+        # refused before any of them is looked up in the oracle
+        for pair in [(2, 2), (0, 9), (-1, 0), (0, 1.0)]:
             with pytest.raises(ValueError, match=re.escape(f"{pair} is not an edge of the host graph")):
                 restricted_edge_cover_number(cycle_graph(4), [(0, 1), pair])
 
