@@ -23,9 +23,12 @@ from .graphs import (
     MAX_ENUMERATION_VERTICES,
     Graph,
     GraphParseError,
+    _code_rows,
+    _degree_cells,
     _graph6_rows,
     _graph6_text,
     _labeled_codes,
+    _pattern,
     _rows_graph,
     _rows_key,
     generate,
@@ -184,34 +187,48 @@ def cmd_competition(args) -> int:
 # -- survey -------------------------------------------------------------------
 
 
-# Survey row values by isomorphism class: {class key: the columns
-# theta_e..k_exact}.  Every one of them is an invariant, so a row of an
-# isomorphic input reuses them.  A row decodes its line to adjacency masks,
-# reads n and edges off them and keys its class from them (graphs._rows_key),
-# so it builds a Graph only to solve a class not yet here, or a graph with
-# no key.  cmd_survey clears it, so --with-exact is fixed for its lifetime;
-# each --jobs worker keeps its own.
+# Survey row values by isomorphism class: {class key or degree-ordered code:
+# the columns theta_e..k_exact}.  Every one of them is an invariant, so a row
+# of an isomorphic input reuses them.  A row gets its adjacency masks from the
+# bit pattern an --all-labeled task carries, or by decoding its --input line,
+# and looks up its degree-ordered code, the bit pattern with the vertices
+# sorted by degree; only on a miss does it key its class (graphs._rows_key),
+# and then it stores the values under both.  Both are (n, bit pattern) pairs,
+# so one dict holds them (see the canonical-form comment in graphs.py).  A row
+# builds a Graph only to solve a class not yet here, or a graph with no key,
+# whose values are not kept.  cmd_survey clears it, so --with-exact is fixed
+# for its lifetime; each --jobs worker keeps its own.
 _ROW_MEMO: dict[tuple[int, int], dict] = {}
 
 
-def _survey_row(task: tuple[str, bool, int | None]) -> dict:
-    text, with_exact, budget = task
+def _survey_row(task: tuple[str, bool, int | None, int | None]) -> dict:
+    text, with_exact, budget, code = task
     started = time.perf_counter()
-    try:
-        rows = _graph6_rows(text)
-    except GraphParseError as err:
-        return {"graph6": text, "error": str(err)}
-    # Under a node budget the solver's node count, and so whether k_exact
-    # is "?", depends on the labeling: such rows are solved as given.
-    key = _rows_key(rows) if budget is None or not with_exact else None
-    values = _ROW_MEMO.get(key)
-    if values is None:
+    if code is None:
+        try:
+            rows = _graph6_rows(text)
+        except GraphParseError as err:
+            return {"graph6": text, "error": str(err)}
+    else:  # text is the line of this pattern, so its header byte gives n
+        rows = _code_rows(ord(text[0]) - 63, code)
+    n = len(rows)
+    if budget is not None and with_exact:
+        # Under a node budget the solver's node count, and so whether k_exact
+        # is "?", depends on the labeling: such rows are solved as given.
         values = _row_values(_rows_graph(rows), with_exact, budget)
-        if key is not None:
-            _ROW_MEMO[key] = values
+    else:
+        degree_code = n, _pattern(rows, _degree_cells(rows))
+        values = _ROW_MEMO.get(degree_code)
+        if values is None:
+            key = _rows_key(rows)
+            values = _ROW_MEMO.get(key)
+            if values is None:
+                values = _row_values(_rows_graph(rows), with_exact, budget)
+            if key is not None:
+                _ROW_MEMO[key] = _ROW_MEMO[degree_code] = values
     millis = int((time.perf_counter() - started) * 1000)
     edges = sum(map(int.bit_count, rows)) // 2
-    return {"graph6": text, "n": len(rows), "edges": edges, **values, "millis": millis}
+    return {"graph6": text, "n": n, "edges": edges, **values, "millis": millis}
 
 
 def _row_values(g: Graph, with_exact: bool, budget: int | None) -> dict:
@@ -240,12 +257,14 @@ def cmd_survey(args) -> int:
     if args.all_labeled is not None:
         if not 0 <= args.all_labeled <= MAX_ENUMERATION_VERTICES:
             _PARSER.error(f"--all-labeled supports 0..{MAX_ENUMERATION_VERTICES} vertices")
-        lines = [_graph6_text(args.all_labeled, code) for code in _labeled_codes(args.all_labeled)]
+        codes = list(_labeled_codes(args.all_labeled))
+        lines = [_graph6_text(args.all_labeled, code) for code in codes]
     else:
         with open(args.input) as fh:
             lines = [line.strip() for line in fh if line.strip()]
+        codes = [None] * len(lines)  # each line is decoded and checked
     budget = _env_budget()
-    tasks = [(text, args.with_exact, budget) for text in lines]
+    tasks = [(text, args.with_exact, budget, code) for text, code in zip(lines, codes)]
     _ROW_MEMO.clear()
     as_jsonl = args.output is not None and args.output.endswith(".jsonl")
     errors = 0

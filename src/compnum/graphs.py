@@ -421,11 +421,30 @@ def _labeled_codes(n: int) -> Iterator[int]:
 # is the graph6 bit pattern under its order.  The tree, its leaf count
 # included, depends only on the isomorphism class, so its smallest leaf code
 # is a canonical form, and whether a graph is keyed depends only on its class.
+#
+# A class key (n, code) is the graph6 bit pattern under one vertex order, and
+# so is a degree-ordered code, (n, _pattern(rows, _degree_cells(rows))): the
+# pattern with the vertices sorted by degree, ties by label.  Such a pair
+# names exactly one labeled graph, and so one isomorphism class, whichever way
+# it was made, so one dict from class keys to invariants can hold
+# degree-ordered codes too, and a hit on either names the graph's class.  Only
+# the class key is canonical: isomorphic graphs may have different
+# degree-ordered codes.
 
 #: Most leaves the search tree of a keyed graph may have.  No graph on at
 #: most 6 vertices needs more than 12; C8, C10, K(4,4) and the Petersen graph
 #: need 16, 20, 2 and 120, and four disjoint 5-cycles 240,000.
 _MAX_LEAVES = 1000
+
+
+def _degree_cells(rows: Sequence[int]) -> list[int]:
+    """The vertices by degree, one cell per degree in increasing order, each
+    cell a mask (so ties go by label)."""
+    degrees: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        d = row.bit_count()
+        degrees[d] = degrees.get(d, 0) | 1 << v
+    return [degrees[d] for d in sorted(degrees)]
 
 
 def _refine(rows: Sequence[int], cells: list[int], fresh: list[int]) -> list[int]:
@@ -481,11 +500,7 @@ def _rows_key(rows: Sequence[int]) -> tuple[int, int] | None:
     two graphs iff they are isomorphic, or None: ``code`` is the smallest
     leaf code of the search above, and None means the search tree has more
     than _MAX_LEAVES leaves."""
-    degrees: dict[int, int] = {}
-    for v, row in enumerate(rows):
-        d = row.bit_count()
-        degrees[d] = degrees.get(d, 0) | 1 << v
-    cells = [degrees[d] for d in sorted(degrees)]  # one refinement of [all]
+    cells = _degree_cells(rows)  # one refinement of [all]
     # breadth first: every node still queued roots a subtree with a leaf of
     # its own, so the tree has at least leaves + len(queue) leaves
     queue = deque([(cells, cells)])

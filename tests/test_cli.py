@@ -355,6 +355,49 @@ class TestSurvey:
         assert code == 0
         assert len(builds) == 11
 
+    def test_a_known_degree_ordered_code_runs_no_class_key(self, capsys, monkeypatch):
+        # a row looks its degree-ordered code up before it keys its class:
+        # the 1,024 labeled 5-vertex graphs have 84 such codes, so at most
+        # 84 rows run the key, and each of the 34 classes is still solved once
+        keyed, builds, enumerated = [], [], []
+        rows_key = cli._rows_key
+        monkeypatch.setattr(cli, "_rows_key", lambda rows: keyed.append(rows) or rows_key(rows))
+        init = Graph.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "__init__", counted)
+        maximal_cliques = covers.maximal_cliques
+        monkeypatch.setattr(covers, "maximal_cliques", lambda g: enumerated.append(g) or maximal_cliques(g))
+        covers._oracle.cache_clear()
+        code, out, _ = run_cli(capsys, "survey", "--all-labeled", "5", "--with-exact")
+        assert code == 0 and len(out.splitlines()) == 1025
+        assert len(keyed) <= 84
+        assert len(builds) == len(enumerated) == 34
+
+    def test_all_labeled_rows_are_not_decoded_from_text(self, capsys, monkeypatch):
+        # each --all-labeled row carries its bit pattern; --input lines are
+        # parsed and checked
+        def no_parse(text):
+            raise AssertionError(f"parsed {text!r}")
+
+        monkeypatch.setattr(cli, "_graph6_rows", no_parse)
+        code, out, _ = run_cli(capsys, "survey", "--all-labeled", "4")
+        assert code == 0 and len(out.splitlines()) == 65
+
+    def test_budgeted_rows_look_up_nothing(self, capsys, monkeypatch):
+        # rows solved as given under a node budget neither key nor keep
+        def no_key(rows):
+            raise AssertionError("keyed a budgeted row")
+
+        monkeypatch.setenv("COMPNUM_BUDGET_NODES", "20")
+        monkeypatch.setattr(cli, "_rows_key", no_key)
+        code, out, _ = run_cli(capsys, "survey", "--all-labeled", "4", "--with-exact")
+        assert code == 0 and len(out.splitlines()) == 65
+        assert not cli._ROW_MEMO
+
     def test_single_graph(self, capsys, tmp_path):
         src = tmp_path / "in.g6"
         src.write_text("Cl\n")

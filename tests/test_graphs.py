@@ -516,6 +516,19 @@ class TestCanonicalKey:
         for i, a in enumerate(firsts):
             assert not any(nx.is_isomorphic(a, b) for b in firsts[i + 1:])
 
+    @pytest.mark.parametrize("n,codes", [(0, 1), (1, 1), (2, 2), (3, 4), (4, 16), (5, 84), (6, 936)])
+    def test_degree_ordered_codes_name_the_class(self, n, codes):
+        # the survey memo holds degree-ordered codes next to class keys: a
+        # code must name a graph of the row's class, so rows with equal
+        # codes have equal keys
+        keys = {}
+        for g in all_labeled_graphs(n):
+            rows = adjacency_masks(g)
+            keys.setdefault(graphs._pattern(rows, graphs._degree_cells(rows)), set()).add(graphs._rows_key(rows))
+        assert len(keys) == codes
+        for code, found in keys.items():
+            assert found == {graphs._rows_key(graphs._code_rows(n, code))}
+
     def test_one_vertex_extension_meets_the_known_class_counts(self):
         # OEIS A000088.  The extension keeps the first graph met per key, so
         # a key that merged two classes or split one past n = 6, where the
