@@ -87,6 +87,11 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
 # an element is skipped iff a candidate already used holds it, that is iff it
 # lies in the shadow of an element already counted; so clearing each counted
 # element's shadow counts exactly the same elements, one step per count.
+# Shadows are symmetric, a lying in b's iff b lies in a's, so an element whose
+# shadow is itself alone lies in no other's: the walk counts it wherever it
+# comes and clears nothing else with it.  The graph's oracle counts such
+# lonely edges in one step and walks only the rest (``_Cliques``); the kernel
+# walks whatever it is handed.
 #
 # A node is cut when its picks plus a lower bound on its residual's cover
 # reach the barrier, and any proven lower bound that is at least 1 on a
@@ -313,11 +318,22 @@ class _Cliques:
     in C & S.  So the maximal cliques of G[S] are the maximal nonempty
     traces.
 
-    ``known`` maps an edge mask to (lower, upper), proven bounds on the
-    fewest cliques covering it; the cover number is exact iff lower == upper.
-    lower is the packing bound, at which ``scan`` enters each mask it meets,
-    a refuted cap plus one, or the cover number a scan counted; upper is the
-    size of a cover found, ``inf`` until one is.  The table serves the
+    ``lonely`` masks the edges that lie in no triangle.  Such an edge is a
+    maximal clique of its own and no other maximal clique holds it, so its
+    shadow is its own bit alone.  A cover of an edge mask U spends one clique
+    on each lonely edge of U, a clique that covers no other edge, and those
+    cliques plus a cover of the rest cover U: the cover number of U is
+    |U & lonely| plus that of U & ~lonely.  The packing bound splits the
+    same way, since a lonely bit lies in no other bit's shadow (see the
+    kernel comment), so ``packing_bound`` counts the lonely bits in one step.
+
+    ``known`` maps an edge mask with no lonely bit to (lower, upper), proven
+    bounds on the fewest cliques covering it; the cover number is exact iff
+    lower == upper.  lower is the packing bound, at which ``scan`` enters
+    each mask it meets, a refuted cap plus one, or the cover number a scan
+    counted; upper is the size of a cover found, ``inf`` until one is.  Its
+    users strip the lonely bits off a mask and add their count back, so masks
+    that differ only in lonely edges share one entry.  The table serves the
     questions that repeat, and it has two users, the only code that reads or
     writes it: ``fits``, the realizer's tail and leaf tests at every level,
     and ``scan``, the bound report's subsets at every m.  A cover number
@@ -340,15 +356,20 @@ class _Cliques:
         self.edge_family = _family(
             [sum(incident[u] & incident[v] for u, v in combinations(_bits(c), 2)) for c in self.vertex_masks], g.edge_count
         )
+        shadows = self.edge_family.shadows
+        self.lonely = sum(1 << b for b, shadow in enumerate(shadows) if shadow == 1 << b)
         self.known: dict[int, tuple[int, float]] = {}
 
     def fits(self, edges: int, cap: int) -> bool:
         """Whether at most ``cap`` cliques cover the edge mask, as
-        ``_min_cover(edges, edge_family, cap) is not None`` answers.  The
-        table answers when its bounds settle it; otherwise one search with no
-        greedy start, stopping at the first cover within the cap (the barrier
-        ``cap + 1`` alone enforces it), answers, and the table keeps its
-        outcome."""
+        ``_min_cover(edges, edge_family, cap) is not None`` answers.  Each
+        lonely edge takes a clique of its own, so the rest must fit in the
+        cap less their count.  The table answers when its bounds settle that;
+        otherwise one search with no greedy start, stopping at the first
+        cover within the lowered cap (the barrier alone enforces it),
+        answers, and the table keeps its outcome."""
+        cap -= (edges & self.lonely).bit_count()
+        edges &= ~self.lonely
         lower, upper = self.known.get(edges, _UNKNOWN)
         if upper <= cap:
             return True
@@ -375,13 +396,15 @@ class _Cliques:
         replace the minimum, so the count and the subset are those of the
         literal walk over every subset.
 
-        Each incident-edge mask is entered in the table at its packing bound
-        on its first visit.  A subset whose mask the table bounds above the
-        cap needs no search, and neither does one whose cover number the
-        table holds.  The others get one search with no greedy start that
-        stops at the table's lower bound, where a cover is minimum, and the
-        table keeps its outcome: the count, the subset and the stop depend on
-        sizes alone, never on which cover was met.
+        Each incident-edge mask, less its lonely edges, is entered in the
+        table at its packing bound on its first visit; the count of lonely
+        edges is added to every bound the table gives and taken off the cap
+        of every search, which covers the rest only.  A subset whose mask the
+        table bounds above the cap needs no search, and neither does one
+        whose cover number the table holds.  The others get one search with
+        no greedy start that stops at the table's lower bound, where a cover
+        is minimum, and the table keeps its outcome: the count, the subset
+        and the stop depend on sizes alone, never on which cover was met.
 
         The subsets are walked depth first in lexicographic order by one
         loop: ``head`` is the prefix being extended and ``masks[d]`` the
@@ -394,7 +417,8 @@ class _Cliques:
         unsearched.  A d-vertex prefix's mask was a subset's mask at m = d,
         so the walks of smaller m have entered many of them in the table.
         """
-        known, incident, family = self.known, self.incident, self.edge_family
+        known, incident, family, lonely = self.known, self.incident, self.edge_family, self.lonely
+        shared = ~lonely
         fewest = argmin = None
         cap = len(family.holders)
         n, last = len(incident), m - 1
@@ -406,20 +430,22 @@ class _Cliques:
                 edges = masks[-1]
                 for v in range(v, n):
                     mask = edges | incident[v]
-                    entry = known.get(mask)
+                    extra, rest = (mask & lonely).bit_count(), mask & shared
+                    entry = known.get(rest)
                     if entry is None:
-                        entry = known[mask] = (self.packing_bound(mask), inf)
+                        entry = known[rest] = (self.packing_bound(rest), inf)
                     lower, upper = entry
-                    if lower > cap:
+                    if lower + extra > cap:
                         continue
                     if lower != upper:
-                        found = _search(mask, family, cap + 1, lower)
+                        found = _search(rest, family, cap + 1 - extra, lower)
                         if found is None:
-                            known[mask] = (cap + 1, upper)
+                            known[rest] = (cap + 1 - extra, upper)
                             continue
                         lower = len(found)
-                        known[mask] = (lower, lower)
-                    fewest, argmin, cap = lower, (*head, v), lower - 1
+                        known[rest] = (lower, lower)
+                    fewest, argmin = lower + extra, (*head, v)
+                    cap = fewest - 1
                     if goal is not None and fewest <= goal:
                         return fewest, argmin, True
                 v = n  # every subset through this prefix is done
@@ -430,13 +456,14 @@ class _Cliques:
                 masks.pop()
                 continue
             mask = masks[-1] | incident[v]
-            if known.get(mask, (0,))[0] <= cap:
+            if known.get(mask & shared, (0,))[0] + (mask & lonely).bit_count() <= cap:
                 head.append(v)
                 masks.append(mask)
             v += 1
 
     def packing_bound(self, edges: int) -> int:
-        return _packing_bound(edges, self.edge_family.shadows)
+        lonely = self.lonely
+        return (edges & lonely).bit_count() + _packing_bound(edges & ~lonely, self.edge_family.shadows)
 
     def within(self, vertices: int, leaving: int) -> list[tuple[tuple[int, ...], int]]:
         """The maximal cliques of G[S] for the vertex mask of S, as (members,

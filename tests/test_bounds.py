@@ -264,7 +264,19 @@ def triangle_free_draw(n: int, rng: random.Random) -> Graph:
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1])
 
 
-@pytest.mark.parametrize("n", [16, 17, 18, 20])
+def with_pendant_paths(g: Graph, rng: random.Random, count: int) -> Graph:
+    """g with ``count`` paths of one to three new vertices, each hung off a
+    random vertex: every new edge lies in no triangle."""
+    n, edges = g.n, list(g.edges())
+    for _ in range(count):
+        end = rng.randrange(n)
+        for _ in range(rng.randint(1, 3)):
+            edges.append((end, n))
+            end, n = n, n + 1
+    return Graph(n, edges)
+
+
+@pytest.mark.parametrize("n", [16, 17, 18, 20, 22, 24])
 def test_the_pruned_scan_meets_the_triangle_free_closed_form(n):
     # Past the literal scan's reach: on a connected triangle-free graph every
     # clique is an edge, so theta_e = |E|, and k = |E| - n + 2 (Roberts
@@ -306,6 +318,29 @@ class TestScanAgainstTheLiteralScan:
         + [cycle_graph(8), complete_multipartite_graph([3, 3, 2])],
     )
     def test_random_and_structured_graphs(self, g):
+        assert_scan_is_literal(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # a triangle with pendant paths at two of its corners
+            Graph(7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6)]),
+            # two triangles at one vertex, with a tail
+            Graph(7, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (4, 5), (5, 6)]),
+            # K(2,3), every edge lonely, beside a triangle
+            Graph(8, list(complete_multipartite_graph([2, 3]).edges()) + [(5, 6), (5, 7), (6, 7)]),
+            complete_multipartite_graph([3, 3]),
+        ]
+        + [
+            with_pendant_paths(g, random.Random(n), 2)
+            for n in (5, 6, 7)
+            for p in (0.5, 0.7)
+            for g in random_graphs(n, p, 1978 + n, 4)
+        ],
+    )
+    def test_graphs_that_mix_lonely_and_shared_edges(self, g):
+        # the scan keys its table by the edges in some triangle and adds the
+        # count of the others back to each bound it reads
         assert_scan_is_literal(g)
 
 

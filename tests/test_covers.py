@@ -12,6 +12,7 @@ from compnum import (
     InfeasibleCoverError,
     all_labeled_graphs,
     complete_graph,
+    complete_multipartite_graph,
     cycle_graph,
     edge_clique_cover,
     edge_clique_cover_number,
@@ -43,6 +44,7 @@ from oracles import (
     literal_search,
     set_maximal_cliques,
 )
+from test_bounds import triangle_free_draw, with_pendant_paths
 
 
 def test_every_constructor_gives_one_graph_and_one_oracle():
@@ -549,6 +551,53 @@ class TestFits:
                 assert shared.scan(m, goal) == walks[m, goal], (trial, m, goal)
 
 
+class TestLonelyEdges:
+    # An edge in no triangle is a clique of its own that no other clique
+    # holds, so the oracle counts such edges one step apart from the rest:
+    # the packing bound must be the kernel's walk over every element, and
+    # fits, whose table keys the rest alone, the answer of a capped search.
+    @staticmethod
+    def graphs():
+        rng = random.Random(1978)
+        out = [complete_multipartite_graph(parts) for parts in ([1, 1], [2, 3], [3, 3], [3, 4])]
+        out += [triangle_free_draw(n, rng) for n in range(6, 15, 2)]
+        for n in range(5, 10):
+            for p in (0.3, 0.5, 0.7):
+                g = random_graphs(n, p, 31 * n + int(10 * p), 1)[0]
+                out.append(with_pendant_paths(g, rng, rng.randint(1, 3)))
+        return out
+
+    def test_the_packing_bound_counts_lonely_edges_in_one_step(self):
+        rng = random.Random(31)
+        for g in self.graphs():
+            t = _Cliques(g)
+            shadows = t.edge_family.shadows
+            candidates = [set(_bits(c)) for c in t.edge_family.cands]
+            full = (1 << g.edge_count) - 1
+            for mask in [0, full, t.lonely, full & ~t.lonely] + [rng.getrandbits(g.edge_count) for _ in range(20)]:
+                expected = element_packing_bound(set(_bits(mask)), candidates)
+                assert t.packing_bound(mask) == _packing_bound(mask, shadows) == expected, (g.edges(), mask)
+
+    def test_fits_answers_as_a_capped_search_on_cold_and_warm_tables(self):
+        # The warm oracle has answered every question before, among them the
+        # same masks with other lonely edges, which share its table entries.
+        rng = random.Random(32)
+        for g in self.graphs():
+            warm = _Cliques(g)
+            family = warm.edge_family
+            masks = []
+            for _ in range(8):
+                mask = rng.getrandbits(g.edge_count)
+                masks += [mask, mask ^ (rng.getrandbits(g.edge_count) & warm.lonely)]
+            for mask in masks:
+                cover = _min_cover(mask, family)[0]
+                for cap in range(cover - 1, cover + 2):
+                    expected = _min_cover(mask, family, cap) is not None
+                    assert _Cliques(g).fits(mask, cap) == expected, (g.edges(), mask, cap)
+                    assert warm.fits(mask, cap) == expected, (g.edges(), mask, cap)
+            TestFits.assert_table_is_proven(warm)
+
+
 class TestGreedyStart:
     def test_a_greedy_cover_at_the_packing_bound_ends_the_search_at_its_root(self, monkeypatch):
         # A greedy start that meets the packing bound is a minimum cover.
@@ -748,9 +797,12 @@ class TestCliqueTable:
             for u, v in combinations(range(g.n), 2):
                 bit = 1 << edges.index((u, v)) if (u, v) in edges else 0
                 assert t.incident[u] & t.incident[v] == bit, (edges, u, v)
+            # the lonely edges are those in no triangle
+            rows = adjacency_masks(g)
+            assert t.lonely == sum(1 << i for i, (u, v) in enumerate(edges) if not rows[u] & rows[v]), edges
         g = path_graph(3)  # edges (0, 1) and (1, 2)
         t = _Cliques(g)
         assert t.vertex_masks == [0b011, 0b110]
         assert t.edge_family.cands == [1, 2]
         assert t.incident == [1, 3, 2]
-        assert sorted(vars(t)) == ["edge_family", "incident", "known", "rows", "vertex_masks"]
+        assert sorted(vars(t)) == ["edge_family", "incident", "known", "lonely", "rows", "vertex_masks"]
