@@ -89,9 +89,9 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
 # element's shadow counts exactly the same elements, one step per count.
 # Shadows are symmetric, a lying in b's iff b lies in a's, so an element whose
 # shadow is itself alone lies in no other's: the walk counts it wherever it
-# comes and clears nothing else with it.  The graph's oracle counts such
-# lonely edges in one step and walks only the rest (``_Cliques``); the kernel
-# walks whatever it is handed.
+# comes and clears nothing else with it.  The family masks such lonely
+# elements once, in ``lonely``, and the bound counts them in one step and
+# walks only the rest, for every mask of every family.
 #
 # A node is cut when its picks plus a lower bound on its residual's cover
 # reach the barrier, and any proven lower bound that is at least 1 on a
@@ -126,12 +126,14 @@ class CoverInstance:
 
 class _Family(NamedTuple):
     """Candidate masks laid out for the kernel, with ``tiers``, the element
-    bits grouped by holder count, fewest holders first."""
+    bits grouped by holder count, fewest holders first, and ``lonely``, the
+    bits whose shadow is their own bit alone."""
 
     cands: Sequence[int]
     holders: Sequence[int]
     shadows: Sequence[int]
     tiers: Sequence[int]
+    lonely: int
 
 
 def _family(cands: Sequence[int], width: int) -> _Family:
@@ -144,12 +146,15 @@ def _family(cands: Sequence[int], width: int) -> _Family:
     tiers: dict[int, int] = {}
     for b, h in enumerate(holders):
         tiers[h.bit_count()] = tiers.get(h.bit_count(), 0) | 1 << b
-    return _Family(cands, holders, shadows, [tiers[count] for count in sorted(tiers)])
+    lonely = sum(1 << b for b, shadow in enumerate(shadows) if shadow == 1 << b)
+    return _Family(cands, holders, shadows, [tiers[count] for count in sorted(tiers)], lonely)
 
 
-def _packing_bound(uncovered: int, shadows: Sequence[int]) -> int:
+def _packing_bound(uncovered: int, family: _Family) -> int:
     # A lower bound on the number of sets any cover must use (see above).
-    count = 0
+    shadows, count = family.shadows, 0
+    if uncovered & family.lonely:
+        uncovered, count = uncovered & ~family.lonely, (uncovered & family.lonely).bit_count()
     while uncovered:
         uncovered &= ~shadows[(uncovered & -uncovered).bit_length() - 1]
         count += 1
@@ -171,7 +176,7 @@ def _search(universe: int, family: _Family, barrier: int, goal: int) -> tuple[in
     no bound at least 1 changes what the search records."""
     if barrier <= 0:
         return None
-    cands, holders, shadows, tiers = family
+    cands, holders, _, tiers, _ = family
     found = None
     chosen: list[int] = []
     stack: list[tuple[int, int, int]] = []
@@ -189,7 +194,7 @@ def _search(universe: int, family: _Family, barrier: int, goal: int) -> tuple[in
             tier &= uncovered
             held = holders[(tier & -tier).bit_length() - 1]
             if credit < 1 or held & (held - 1):
-                credit = _packing_bound(uncovered, shadows)
+                credit = _packing_bound(uncovered, family)
             if len(chosen) + credit < barrier:
                 base, options, depth = uncovered, held, len(chosen)
         if not options:  # back to the last branch point with holders left
@@ -244,14 +249,20 @@ def _certified_cover(universe: int, family: _Family) -> tuple[int, tuple[int, ..
         if not c & uncovered:
             continue
         rest, left, later = uncovered & ~c, size - len(chosen) - 1, -2 << i
-        # The later candidates keep the whole family's shadows and tiers: a
-        # bound over all the candidates bounds any fewer, and the branching
-        # order moves the effort, not the answer.  Every element of rest has
-        # a later holder, since a minimum cover finishing from i on exists.
-        masked = family._replace(holders=[h & later for h in family.holders])
-        if _search(rest, masked, left + 1, left) is not None:
-            uncovered = rest
-            chosen.append(i)
+        # A set holding an uncovered lonely element holds that element alone,
+        # and no earlier set holds it, or that one would have joined: every
+        # minimum cover finishing from i on takes a copy of it, so i joins
+        # with no search.
+        if not c & uncovered & family.lonely:
+            # The later candidates keep the whole family's shadows, tiers and
+            # lonely bits: a bound over all the candidates bounds any fewer,
+            # and the branching order moves the effort, not the answer.  Every
+            # element of rest has a later holder, since a minimum cover
+            # finishing from i on exists.
+            if _search(rest, family._replace(holders=[h & later for h in family.holders]), left + 1, left) is None:
+                continue
+        uncovered = rest
+        chosen.append(i)
     return size, tuple(chosen)
 
 
@@ -318,14 +329,13 @@ class _Cliques:
     in C & S.  So the maximal cliques of G[S] are the maximal nonempty
     traces.
 
-    ``lonely`` masks the edges that lie in no triangle.  Such an edge is a
-    maximal clique of its own and no other maximal clique holds it, so its
-    shadow is its own bit alone.  A cover of an edge mask U spends one clique
-    on each lonely edge of U, a clique that covers no other edge, and those
-    cliques plus a cover of the rest cover U: the cover number of U is
-    |U & lonely| plus that of U & ~lonely.  The packing bound splits the
-    same way, since a lonely bit lies in no other bit's shadow (see the
-    kernel comment), so ``packing_bound`` counts the lonely bits in one step.
+    An edge in no triangle is a maximal clique of its own and no other
+    maximal clique holds it, so its shadow is its own bit alone: the edge
+    family's ``lonely`` masks exactly these edges.  A cover of an edge mask
+    U spends one clique on each lonely edge of U, a clique that covers no
+    other edge, and those cliques plus a cover of the rest cover U: the
+    cover number of U is |U & lonely| plus that of U & ~lonely.  The kernel's
+    packing bound splits the same way (see the kernel comment).
 
     ``known`` maps an edge mask with no lonely bit to (lower, upper), proven
     bounds on the fewest cliques covering it; the cover number is exact iff
@@ -356,20 +366,19 @@ class _Cliques:
         self.edge_family = _family(
             [sum(incident[u] & incident[v] for u, v in combinations(_bits(c), 2)) for c in self.vertex_masks], g.edge_count
         )
-        shadows = self.edge_family.shadows
-        self.lonely = sum(1 << b for b, shadow in enumerate(shadows) if shadow == 1 << b)
         self.known: dict[int, tuple[int, float]] = {}
 
     def fits(self, edges: int, cap: int) -> bool:
         """Whether at most ``cap`` cliques cover the edge mask, as
         ``_min_cover(edges, edge_family, cap) is not None`` answers.  Each
-        lonely edge takes a clique of its own, so the rest must fit in the
-        cap less their count.  The table answers when its bounds settle that;
-        otherwise one search with no greedy start, stopping at the first
-        cover within the lowered cap (the barrier alone enforces it),
-        answers, and the table keeps its outcome."""
-        cap -= (edges & self.lonely).bit_count()
-        edges &= ~self.lonely
+        lonely edge, one of ``edge_family.lonely``, takes a clique of its
+        own, so the rest must fit in the cap less their count.  The table
+        answers when its bounds settle that; otherwise one search with no
+        greedy start, stopping at the first cover within the lowered cap (the
+        barrier alone enforces it), answers, and the table keeps its
+        outcome."""
+        cap -= (edges & self.edge_family.lonely).bit_count()
+        edges &= ~self.edge_family.lonely
         lower, upper = self.known.get(edges, _UNKNOWN)
         if upper <= cap:
             return True
@@ -396,15 +405,16 @@ class _Cliques:
         replace the minimum, so the count and the subset are those of the
         literal walk over every subset.
 
-        Each incident-edge mask, less its lonely edges, is entered in the
-        table at its packing bound on its first visit; the count of lonely
-        edges is added to every bound the table gives and taken off the cap
-        of every search, which covers the rest only.  A subset whose mask the
-        table bounds above the cap needs no search, and neither does one
-        whose cover number the table holds.  The others get one search with
-        no greedy start that stops at the table's lower bound, where a cover
-        is minimum, and the table keeps its outcome: the count, the subset
-        and the stop depend on sizes alone, never on which cover was met.
+        Each incident-edge mask, less its lonely edges (those of
+        ``edge_family.lonely``), is entered in the table at its packing bound
+        on its first visit; the count of lonely edges is added to every bound
+        the table gives and taken off the cap of every search, which covers
+        the rest only.  A subset whose mask the table bounds above the cap
+        needs no search, and neither does one whose cover number the table
+        holds.  The others get one search with no greedy start that stops at
+        the table's lower bound, where a cover is minimum, and the table keeps
+        its outcome: the count, the subset and the stop depend on sizes alone,
+        never on which cover was met.
 
         The subsets are walked depth first in lexicographic order by one
         loop: ``head`` is the prefix being extended and ``masks[d]`` the
@@ -417,8 +427,8 @@ class _Cliques:
         unsearched.  A d-vertex prefix's mask was a subset's mask at m = d,
         so the walks of smaller m have entered many of them in the table.
         """
-        known, incident, family, lonely = self.known, self.incident, self.edge_family, self.lonely
-        shared = ~lonely
+        known, incident, family = self.known, self.incident, self.edge_family
+        lonely, shared = family.lonely, ~family.lonely
         fewest = argmin = None
         cap = len(family.holders)
         n, last = len(incident), m - 1
@@ -433,7 +443,7 @@ class _Cliques:
                     extra, rest = (mask & lonely).bit_count(), mask & shared
                     entry = known.get(rest)
                     if entry is None:
-                        entry = known[rest] = (self.packing_bound(rest), inf)
+                        entry = known[rest] = (_packing_bound(rest, family), inf)
                     lower, upper = entry
                     if lower + extra > cap:
                         continue
@@ -460,10 +470,6 @@ class _Cliques:
                 head.append(v)
                 masks.append(mask)
             v += 1
-
-    def packing_bound(self, edges: int) -> int:
-        lonely = self.lonely
-        return (edges & lonely).bit_count() + _packing_bound(edges & ~lonely, self.edge_family.shadows)
 
     def within(self, vertices: int, leaving: int) -> list[tuple[tuple[int, ...], int]]:
         """The maximal cliques of G[S] for the vertex mask of S, as (members,

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .bounds import general_bound
-from .covers import _min_cover, _oracle
+from .covers import _min_cover, _oracle, _packing_bound
 from .graphs import CycleError, Digraph, Graph, _arc_order, _bits, _predators, write_arc_list, write_dot
 
 
@@ -264,7 +264,7 @@ def find_realization(
                 run += 1
                 mask |= covered
                 if (bound := bound_of.get(mask)) is None:
-                    bound = bound_of[mask] = t.packing_bound(all_edges & ~mask)
+                    bound = bound_of[mask] = _packing_bound(all_edges & ~mask, t.edge_family)
                 if bound <= slots:
                     passing.append((run, members, mask))
                     run = 0
@@ -302,7 +302,7 @@ def find_realization(
         nodes = 1  # the root
         if budget is not None and nodes > budget:
             raise BudgetExceededError(spent)
-        bound_of[0] = t.packing_bound(all_edges)
+        bound_of[0] = _packing_bound(all_edges, t.edge_family)
         if bound_of[0] > open_slots[0] + k or (n > 0 and feeders_of(0, all_edges) is None):
             return None
         return extend(0, 0, all_edges, 0)

@@ -39,7 +39,7 @@ from compnum import (
     maximal_cliques,
 )
 from compnum.bounds import BoundReport, BoundTerm
-from compnum.covers import _Cliques, _family, _min_cover, _oracle, _packing_bound
+from compnum.covers import _Cliques, _family, _min_cover, _oracle
 from compnum.graphs import _bits, _rows_graph, _rows_key
 from compnum.realizer import RealizationWitness, _assemble
 
@@ -131,6 +131,17 @@ def element_packing_bound(universe, candidates) -> int:
         if not holders & used:
             count += 1
             used |= holders
+    return count
+
+
+def walk_packing_bound(uncovered: int, shadows) -> int:
+    """The cover kernel's packing bound as one walk over the shadows, lonely
+    elements included: clear the shadow of the lowest element left and count
+    it, until none is left."""
+    count = 0
+    while uncovered:
+        uncovered &= ~shadows[(uncovered & -uncovered).bit_length() - 1]
+        count += 1
     return count
 
 
@@ -289,7 +300,7 @@ def literal_find_realization(
     def extend(placed: int, covered: int) -> RealizationWitness | None:
         residual = all_edges & ~covered
         if (bound := bound_of.get(covered)) is None:
-            bound = bound_of[covered] = t.packing_bound(residual)
+            bound = bound_of[covered] = walk_packing_bound(residual, t.edge_family.shadows)
         if open_slots[len(order)] + k >= bound:
             if len(order) == n:
                 if t.fits(residual, k) and (found := _min_cover(residual, t.edge_family, k)) is not None:
@@ -481,7 +492,7 @@ def literal_search(universe: int, family, barrier: int, goal: int) -> tuple[int,
     """covers._search as one recursive call per chosen set: the same tree in
     the same order, with the same recording rule, for the kernel to match
     tuple for tuple."""
-    cands, holders, shadows, tiers = family
+    cands, holders, shadows, tiers, _ = family
     found = None
 
     def search(uncovered: int, chosen: tuple[int, ...]) -> bool:
@@ -489,7 +500,7 @@ def literal_search(universe: int, family, barrier: int, goal: int) -> tuple[int,
         if not uncovered:
             found, barrier = tuple(sorted(chosen)), len(chosen)
             return barrier <= goal
-        if len(chosen) + _packing_bound(uncovered, shadows) >= barrier:
+        if len(chosen) + walk_packing_bound(uncovered, shadows) >= barrier:
             return False
         for tier in tiers:
             if tier & uncovered:
@@ -511,7 +522,7 @@ def literal_counted_bounds(universe: int, family, barrier: int, goal: int) -> li
     branch element has one holder and the credit handed to it is at least 1,
     and it hands its first child credit - 1 and each later child, met after
     a sibling's subtree may have moved the barrier, no credit."""
-    cands, holders, shadows, tiers = family
+    cands, holders, shadows, tiers, _ = family
     counted = []
 
     def search(uncovered: int, depth: int, credit: int) -> bool:
@@ -526,7 +537,7 @@ def literal_counted_bounds(universe: int, family, barrier: int, goal: int) -> li
         held = holders[(tier & -tier).bit_length() - 1]
         if credit < 1 or held & (held - 1):
             counted.append(uncovered)
-            credit = _packing_bound(uncovered, shadows)
+            credit = walk_packing_bound(uncovered, shadows)
         if depth + credit >= barrier:
             return False
         for i in _bits(held):

@@ -349,19 +349,20 @@ def test_each_mask_is_bounded_once_and_searched_once_per_cap(monkeypatch):
     # so no mask is bounded twice and no capped search is asked again
     packed: list[int] = []
     searched: list[tuple[int, int]] = []
-    search, packing_bound = covers._search, _Cliques.packing_bound
+    search, packing_bound = covers._search, covers._packing_bound
 
     def counted_search(universe, family, barrier, goal):
         if sys._getframe(1).f_code is _Cliques.scan.__code__:
             searched.append((universe, barrier - 1))
         return search(universe, family, barrier, goal)
 
-    def counted_packing_bound(self, edges):
-        packed.append(edges)
-        return packing_bound(self, edges)
+    def counted_packing_bound(edges, family):
+        if sys._getframe(1).f_code is _Cliques.scan.__code__:
+            packed.append(edges)
+        return packing_bound(edges, family)
 
     monkeypatch.setattr(covers, "_search", counted_search)
-    monkeypatch.setattr(_Cliques, "packing_bound", counted_packing_bound)
+    monkeypatch.setattr(covers, "_packing_bound", counted_packing_bound)
     subsets = searches = 0
     for g in random_graphs(10, 0.5, 2012 * 16 + 5, 3):
         packed.clear()

@@ -29,7 +29,7 @@ from compnum import (
     write_graph6,
 )
 from compnum import covers, graphs
-from compnum.covers import _Cliques, _family, _min_cover, _packing_bound, _search
+from compnum.covers import _Cliques, _family, _index, _min_cover, _packing_bound, _search
 from compnum.graphs import _bits
 from oracles import (
     adjacency_masks,
@@ -43,6 +43,7 @@ from oracles import (
     literal_counted_bounds,
     literal_search,
     set_maximal_cliques,
+    walk_packing_bound,
 )
 from test_bounds import triangle_free_draw, with_pendant_paths
 
@@ -201,13 +202,14 @@ class TestPackingBound:
     def elements(mask):
         return {b for b in range(mask.bit_length()) if mask >> b & 1}
 
-    def assert_matches(self, family, masks):
+    @classmethod
+    def assert_matches(cls, family, masks):
         for b, shadow in enumerate(family.shadows):
             assert shadow >> b & 1, b
-        candidates = [self.elements(c) for c in family.cands]
+        candidates = [cls.elements(c) for c in family.cands]
         for mask in masks:
-            expected = element_packing_bound(self.elements(mask), candidates)
-            assert _packing_bound(mask, family.shadows) == expected, mask
+            expected = element_packing_bound(cls.elements(mask), candidates)
+            assert _packing_bound(mask, family) == walk_packing_bound(mask, family.shadows) == expected, mask
 
     def test_clique_tables_of_small_graphs(self, graphs_up_to_3, graphs_4, graphs_5):
         for g in graphs_up_to_3 + graphs_4 + graphs_5:
@@ -232,6 +234,13 @@ class TestPackingBound:
                 cands[-1] |= ((1 << width) - 1) & ~held
             masks = [(1 << width) - 1] + [rng.getrandbits(width) for _ in range(5)]
             self.assert_matches(_family(cands, width), masks)
+        # as min_set_cover lays them out, with elements that sit only in
+        # singleton candidates: lonely elements, some with two holders
+        for trial in range(300):
+            universe, candidates = singleton_instance(rng)
+            width = len(universe)
+            masks = [(1 << width) - 1] + [rng.getrandbits(width) for _ in range(5)]
+            self.assert_matches(_index(universe, candidates)[1], masks)
 
     def test_whole_family_bounds_the_later_candidates(self):
         # the certified cover's searches over the candidates after i keep the
@@ -246,7 +255,24 @@ class TestPackingBound:
                 rest = rng.getrandbits(width)
                 size = brute_min_cover(self.elements(rest), later)
                 if size is not None:
-                    assert _packing_bound(rest, family.shadows) <= size
+                    assert _packing_bound(rest, family) <= size
+
+
+def singleton_instance(rng):
+    """A set cover instance where about a third of the elements sit only in
+    singleton candidates, each once or twice, among random candidates that
+    hold the rest."""
+    universe = range(rng.randrange(1, 14))
+    private = {e for e in universe if rng.random() < 0.3}
+    candidates = [
+        frozenset(e for e in universe if e not in private and rng.random() < 0.3)
+        for _ in range(rng.randrange(1, 10))
+    ]
+    for e in sorted(private):
+        for _ in range(rng.choice((1, 1, 2))):
+            candidates.insert(rng.randrange(len(candidates) + 1), frozenset({e}))
+    candidates[-1] |= set(universe) - frozenset().union(*candidates)
+    return universe, candidates
 
 
 class TestChosenCovers:
@@ -277,6 +303,17 @@ class TestChosenCovers:
         results = [edge_clique_cover(g) for g in graphs_up_to_3 + graphs_4 + graphs_5]
         assert len(results) == 1100
         assert self.digest(results) == "0b56160bf8aa69bf5562c8e66fed22ce1154797d91e9609b431cfbc3a0905728"
+
+    def test_certified_covers_past_five_vertices(self):
+        # edge clique covers of G(n, p) draws up to 13 vertices, and set
+        # covers of instances with elements only in singleton candidates,
+        # where the certified cover takes such a candidate with no search
+        results = [
+            edge_clique_cover(g) for n in range(6, 14) for p in (0.2, 0.3, 0.5, 0.7) for g in random_graphs(n, p, 7, 10)
+        ]
+        rng = random.Random(2009)
+        results += [min_set_cover(CoverInstance(*singleton_instance(rng))) for _ in range(3000)]
+        assert self.digest(results) == "181df49ce2b4fb600a601f1fec10f5732c731976f9c593f07130438255c14eb6"
 
 
 class TestSearchContract:
@@ -346,9 +383,9 @@ class TestLoopAgainstTheRecursiveSearch:
         here on."""
         counted = []
 
-        def spy(uncovered, shadows):
+        def spy(uncovered, family):
             counted.append(uncovered)
-            return _packing_bound(uncovered, shadows)
+            return _packing_bound(uncovered, family)
 
         monkeypatch.setattr(covers, "_packing_bound", spy)
         return counted
@@ -570,13 +607,19 @@ class TestLonelyEdges:
     def test_the_packing_bound_counts_lonely_edges_in_one_step(self):
         rng = random.Random(31)
         for g in self.graphs():
-            t = _Cliques(g)
-            shadows = t.edge_family.shadows
-            candidates = [set(_bits(c)) for c in t.edge_family.cands]
-            full = (1 << g.edge_count) - 1
-            for mask in [0, full, t.lonely, full & ~t.lonely] + [rng.getrandbits(g.edge_count) for _ in range(20)]:
-                expected = element_packing_bound(set(_bits(mask)), candidates)
-                assert t.packing_bound(mask) == _packing_bound(mask, shadows) == expected, (g.edges(), mask)
+            family = _Cliques(g).edge_family
+            full, lonely = (1 << g.edge_count) - 1, family.lonely
+            masks = [0, full, lonely, full & ~lonely] + [rng.getrandbits(g.edge_count) for _ in range(20)]
+            TestPackingBound.assert_matches(family, masks)
+        # and the vertex families of the same graphs with isolated vertices
+        # added, each a maximal clique of its own: lonely elements
+        rng = random.Random(33)
+        for g in self.graphs():
+            g = Graph(g.n + rng.randint(1, 3), g.edges())
+            family = _family(_Cliques(g).vertex_masks, g.n)
+            assert family.lonely >> g.n - 1 & 1
+            masks = [(1 << g.n) - 1, family.lonely] + [rng.getrandbits(g.n) for _ in range(20)]
+            TestPackingBound.assert_matches(family, masks)
 
     def test_fits_answers_as_a_capped_search_on_cold_and_warm_tables(self):
         # The warm oracle has answered every question before, among them the
@@ -588,7 +631,7 @@ class TestLonelyEdges:
             masks = []
             for _ in range(8):
                 mask = rng.getrandbits(g.edge_count)
-                masks += [mask, mask ^ (rng.getrandbits(g.edge_count) & warm.lonely)]
+                masks += [mask, mask ^ (rng.getrandbits(g.edge_count) & family.lonely)]
             for mask in masks:
                 cover = _min_cover(mask, family)[0]
                 for cap in range(cover - 1, cover + 2):
@@ -596,6 +639,20 @@ class TestLonelyEdges:
                     assert _Cliques(g).fits(mask, cap) == expected, (g.edges(), mask, cap)
                     assert warm.fits(mask, cap) == expected, (g.edges(), mask, cap)
             TestFits.assert_table_is_proven(warm)
+
+    @pytest.mark.parametrize("parts", [[5, 7], [31, 31]])
+    def test_the_certified_cover_takes_lonely_edges_without_a_search(self, monkeypatch, parts):
+        # In K(a, b) every edge is lonely, its own maximal clique: the
+        # minimum cover's one search stops at the root, where the packing
+        # bound meets the greedy cover, and each clique then joins the
+        # certified cover as the only holder of its edge, with no search.
+        searches, bounds = [], []
+        search, packing_bound = covers._search, covers._packing_bound
+        monkeypatch.setattr(covers, "_search", lambda *args: searches.append(args) or search(*args))
+        monkeypatch.setattr(covers, "_packing_bound", lambda *args: bounds.append(args) or packing_bound(*args))
+        edges = parts[0] * parts[1]
+        assert edge_clique_cover(complete_multipartite_graph(parts)) == (edges, tuple(range(edges)))
+        assert len(searches) == len(bounds) == 1
 
 
 class TestGreedyStart:
@@ -626,7 +683,7 @@ class TestGreedyStart:
                 edges = edges_at(t, rng.getrandbits(g.n))
                 size = _min_cover(edges, t.edge_family)[0]
                 cap = rng.choice([None, size - 1, size, size + 1])
-                bound = t.packing_bound(edges)
+                bound = _packing_bound(edges, t.edge_family)
                 searches.clear()
                 bounds.clear()
                 found = _min_cover(edges, t.edge_family, cap)
@@ -799,10 +856,10 @@ class TestCliqueTable:
                 assert t.incident[u] & t.incident[v] == bit, (edges, u, v)
             # the lonely edges are those in no triangle
             rows = adjacency_masks(g)
-            assert t.lonely == sum(1 << i for i, (u, v) in enumerate(edges) if not rows[u] & rows[v]), edges
+            assert t.edge_family.lonely == sum(1 << i for i, (u, v) in enumerate(edges) if not rows[u] & rows[v]), edges
         g = path_graph(3)  # edges (0, 1) and (1, 2)
         t = _Cliques(g)
         assert t.vertex_masks == [0b011, 0b110]
         assert t.edge_family.cands == [1, 2]
         assert t.incident == [1, 3, 2]
-        assert sorted(vars(t)) == ["edge_family", "incident", "known", "lonely", "rows", "vertex_masks"]
+        assert sorted(vars(t)) == ["edge_family", "incident", "known", "rows", "vertex_masks"]

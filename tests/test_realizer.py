@@ -339,9 +339,9 @@ class TestFindRealization:
         ]
         cases.append((parse_graph6("KEcF`]jd_OJ@"), 1))
         bounded, covered = [], []
-        packing_bound = _Cliques.packing_bound
+        packing_bound = realizer._packing_bound
         monkeypatch.setattr(
-            _Cliques, "packing_bound", lambda self, edges: bounded.append(edges) or packing_bound(self, edges)
+            realizer, "_packing_bound", lambda edges, family: bounded.append(edges) or packing_bound(edges, family)
         )
 
         def cover(edges, family, cap):
